@@ -318,6 +318,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
+    except RecursionError as e:
+        # Parsing, typing and evaluation recurse with the formula's
+        # nesting; input nested past the recursion limit is an error, not
+        # a failing property.
+        print(f"error[RecursionError]: input nested too deeply ({e})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,13 +1,22 @@
 """Denotational evaluation, approximants, and fixpoint elimination.
 
-Two engines share one recursive evaluator.  The `demand` engine keeps
-lambda values as closures and solves least fixpoints locally: each fully
-applied fixpoint argument tuple gets a memo entry initialized at bottom
-and re-propagated through recorded dependencies until stable (chaotic
-iteration, justified by Knaster-Tarski over the finite lattices).  The
-`tabulate` engine builds full argument tables eagerly and iterates whole
-lattice values from bottom.  Both only ever move approximations upward;
-any descent is reported as an internal error, never papered over.
+Two engines share one evaluator, which compiles each formula node once
+into a Python closure `run(env)` (Feeley & Lapalme, "Using closures for
+code generation", 1987): the kind of the node, the Ground of a
+proposition, the tabulation choice for a lambda and the fixpoint strategy
+are all settled at compile time, so evaluation does no dispatch on node
+kinds.  Compilation walks the formula iteratively, children first, once
+per node object per `Evaluator`; a closed lambda or fixpoint keeps its
+value in its own closure cell.
+
+The `demand` engine keeps lambda values as closures and solves least
+fixpoints locally: each fully applied fixpoint argument tuple gets a memo
+entry initialized at bottom and re-propagated through recorded
+dependencies until stable (chaotic iteration, justified by Knaster-Tarski
+over the finite lattices).  The `tabulate` engine builds full argument
+tables eagerly and iterates whole lattice values from bottom.  Both only
+ever move approximations upward; any descent is reported as an internal
+error, never papered over.
 """
 
 from __future__ import annotations
@@ -78,12 +87,14 @@ class EvalConfig:
 
 
 class LamClosure:
-    __slots__ = ("node", "env", "ev")
+    """A lambda's value: its node, its compiled body and its environment."""
 
-    def __init__(self, node, env, ev):
+    __slots__ = ("node", "body", "env")
+
+    def __init__(self, node, body, env):
         self.node = node
+        self.body = body
         self.env = env
-        self.ev = ev
 
 
 class NegWrap:
@@ -98,16 +109,13 @@ class NegWrap:
 class FixRef:
     """A fixpoint component, partially applied to reified arguments."""
 
-    __slots__ = ("solver", "comp", "args")
+    __slots__ = ("solver", "comp", "args", "total_arity")
 
     def __init__(self, solver, comp, args):
         self.solver = solver
         self.comp = comp
         self.args = args
-
-    @property
-    def total_arity(self):
-        return len(self.solver.argtys[self.comp])
+        self.total_arity = solver.arities[comp]
 
     def remaining_type(self):
         ty = self.solver.bindings[self.comp][1]
@@ -117,12 +125,15 @@ class FixRef:
 
 
 class FixSolver:
-    """Demand-driven least fixpoint of one simultaneous binding group."""
+    """Demand-driven least fixpoint of one simultaneous binding group.
+
+    `bindings` holds (name, type, compiled body) triples.
+    """
 
     def __init__(self, ev, bindings, env):
         self.ev = ev
         self.bindings = bindings
-        self.argtys = [uncurry(ty) for _, ty, _ in bindings]
+        self.arities = [len(uncurry(ty)) for _, ty, _ in bindings]
         self.env = dict(env)
         for i, (name, _, _) in enumerate(bindings):
             self.env[name] = FixRef(self, i, ())
@@ -131,12 +142,11 @@ class FixSolver:
         self.dirty: list = []
         self.queued: set = set()
         self.current = None
-        self.n = ev.n
 
     def read(self, comp, args) -> Ground:
         key = (comp, args)
         if key not in self.memo:
-            self.memo[key] = Ground(self.n, 0)
+            self.memo[key] = self.ev._ground(0)
             self.deps[key] = set()
             self._push(key)
         else:
@@ -167,7 +177,7 @@ class FixSolver:
             self.current = key
             try:
                 comp, args = key
-                val = self.ev.eval(self.bindings[comp][2], self.env)
+                val = self.bindings[comp][2](self.env)
                 for a in args:
                     val = self.ev.apply_value(val, a)
                 if not isinstance(val, Ground):
@@ -204,10 +214,15 @@ class Evaluator:
             for s, t in es:
                 by_target[t] |= 1 << s
             self._pred_masks[a] = by_target
-        self._closed_cache: dict = {}
-        self._auto_table: dict = {}
-        self._local_ok: dict = {}
-        self._typed_roots: set = set()
+        # id(node) -> (node, compiled closure, typechecked as a closed root);
+        # holding the node keeps its id from being reused, so an id found
+        # here is the node itself.
+        self._compiled: dict = {}
+        self._grounds: dict = {}  # mask -> the one Ground with that mask
+        self._enums: dict = {}  # type -> tuple of its elements
+        # id(element) -> canonical index, for every enumerated Func; the
+        # tuples in _enums keep those ids from being reused.
+        self._enum_index: dict = {}
 
     # -- helpers
 
@@ -221,34 +236,42 @@ class Evaluator:
             self._prop_masks[name] = m
         return m
 
-    def pre_image(self, action: str, mask: int) -> int:
-        by_target = self._pred_masks.get(action)
-        if by_target is None:
-            return 0
-        out = 0
-        t = 0
-        while mask:
-            if mask & 1:
-                out |= by_target[t]
-            mask >>= 1
-            t += 1
-        return out
+    def _ground(self, mask: int) -> Ground:
+        """The evaluator's one Ground for `mask`."""
+        g = self._grounds.get(mask)
+        if g is None:
+            g = self._grounds[mask] = Ground(self.n, mask)
+        return g
 
-    def enum(self, ty: HflType):
-        return enumerate_lattice(ty, self.n, self.cfg.enum_limit)
+    def enum(self, ty: HflType) -> tuple:
+        """The elements of the lattice of `ty` in canonical order,
+        enumerated on the first call for each type."""
+        got = self._enums.get(ty)
+        if got is None:
+            got = tuple(enumerate_lattice(ty, self.n, self.cfg.enum_limit))
+            self._enums[ty] = got
+            if isinstance(ty, Arrow):
+                self._enum_index.update((id(d), i) for i, d in enumerate(got))
+        return got
 
     # -- value operations
 
     def apply_value(self, f, a):
-        if isinstance(f, Func):
-            return f.table[index_of(self.reify_value(a))]
-        if isinstance(f, LamClosure):
+        kind = type(f)
+        if kind is Func:
+            if type(a) is Ground:
+                return f.table[a.mask]
+            i = self._enum_index.get(id(a))
+            if i is None:
+                i = index_of(self.reify_value(a))
+            return f.table[i]
+        if kind is LamClosure:
             env2 = dict(f.env)
             env2[f.node.var] = a
-            return self.eval(f.node.body, env2)
-        if isinstance(f, NegWrap):
+            return f.body(env2)
+        if kind is NegWrap:
             return self.complement_value(self.apply_value(f.inner, a))
-        if isinstance(f, FixRef):
+        if kind is FixRef:
             args2 = f.args + (self.reify_value(a),)
             if len(args2) == f.total_arity:
                 return f.solver.read(f.comp, args2)
@@ -256,7 +279,9 @@ class Evaluator:
         raise InternalError(f"applied a non-function value {f!r}")
 
     def complement_value(self, v):
-        if isinstance(v, (Ground, Func)):
+        if isinstance(v, Ground):
+            return self._ground(v.mask ^ self._full_mask)
+        if isinstance(v, Func):
             return denote.complement(v)
         if isinstance(v, NegWrap):
             return v.inner
@@ -282,130 +307,182 @@ class Evaluator:
         result_ty = PrType() if isinstance(entries[0], Ground) else entries[0].ty
         return Func(Arrow(dom_ty, variance, result_ty), self.n, entries)
 
-    # -- evaluation proper
+    # -- compilation
 
     def eval(self, phi: Formula, env: dict):
-        if isinstance(phi, Prop):
-            return Ground(self.n, self.prop_mask(phi.name))
-        if isinstance(phi, Var):
+        return self._compile(phi)(env)
+
+    def _compile(self, phi: Formula):
+        """The closure computing `phi`, compiling every node not yet
+        compiled, children before parents, with an explicit stack: a
+        recursive compiler would need two frames per level of nesting."""
+        table = self._compiled
+        hit = table.get(id(phi))
+        if hit is not None:
+            return hit[1]
+        stack = [(phi, False)]  # (node, are its children compiled?)
+        while stack:
+            f, children_done = stack.pop()
+            if id(f) in table:
+                continue
+            if children_done:
+                table[id(f)] = (f, self._compile_node(f), False)
+                continue
             try:
-                v = env[phi.name]
-            except KeyError:
-                raise UnboundVariableError(phi.name) from None
-            if isinstance(v, FixRef) and v.total_arity == len(v.args):
-                return v.solver.read(v.comp, v.args)
-            return v
+                children = syntax.children(f)
+            except TypeError:
+                raise InternalError(f"not a formula: {f!r}") from None
+            stack.append((f, True))
+            for c in children:
+                if id(c) not in table:
+                    stack.append((c, False))
+        return table[id(phi)][1]
+
+    def _compile_node(self, phi: Formula):
+        """The closure for one node whose children are compiled."""
+        table = self._compiled
+
+        def compiled(f):
+            return table[id(f)][1]
+
+        grounds = self._grounds
+        ground = self._ground
+        full = self._full_mask
+        if isinstance(phi, Prop):
+            value = ground(self.prop_mask(phi.name))
+            return lambda env: value
+        if isinstance(phi, Var):
+            name = phi.name
+
+            def run_var(env):
+                try:
+                    v = env[name]
+                except KeyError:
+                    raise UnboundVariableError(name) from None
+                if type(v) is FixRef and v.total_arity == len(v.args):
+                    return v.solver.read(v.comp, v.args)
+                return v
+
+            return run_var
         if isinstance(phi, Neg):
-            return self.complement_value(self.eval(phi.body, env))
+            body = compiled(phi.body)
+            complement = self.complement_value
+
+            def run_neg(env):
+                v = body(env)
+                if type(v) is Ground:
+                    m = v.mask ^ full
+                    return grounds.get(m) or ground(m)
+                return complement(v)
+
+            return run_neg
         if isinstance(phi, Or):
-            left = self.eval(phi.left, env)
-            if left.mask == self._full_mask:
-                # The union is already everything; skip the right operand.
-                # This makes if-then-else under a 2-valued guard lazy in
-                # the untaken branch, which the word-rebuilding fixpoint
-                # needs to stay within its intended orbit.
-                return left
-            right = self.eval(phi.right, env)
-            return Ground(self.n, left.mask | right.mask)
+            left_run = compiled(phi.left)
+            right_run = compiled(phi.right)
+
+            def run_or(env):
+                left = left_run(env)
+                if left.mask == full:
+                    # The union is already everything; skip the right
+                    # operand.  This makes if-then-else under a 2-valued
+                    # guard lazy in the untaken branch, which the
+                    # word-rebuilding fixpoint needs to stay within its
+                    # intended orbit.
+                    return left
+                m = left.mask | right_run(env).mask
+                return grounds.get(m) or ground(m)
+
+            return run_or
         if isinstance(phi, Dia):
-            body = self.eval(phi.body, env)
-            return Ground(self.n, self.pre_image(phi.action, body.mask))
+            body = compiled(phi.body)
+            by_target = self._pred_masks.get(phi.action) or [0] * self.n
+
+            def run_dia(env):
+                m = _pre_image(by_target, body(env).mask)
+                return grounds.get(m) or ground(m)
+
+            return run_dia
         if isinstance(phi, App):
-            return self.apply_value(self.eval(phi.func, env), self.eval(phi.arg, env))
+            func_run = compiled(phi.func)
+            arg_run = compiled(phi.arg)
+            apply = self.apply_value
+
+            def run_app(env):
+                f = func_run(env)
+                a = arg_run(env)
+                if type(f) is Func and type(a) is Ground:
+                    return f.table[a.mask]
+                return apply(f, a)
+
+            return run_app
+        closed = not syntax.free_vars(phi)
         if isinstance(phi, Lam):
-            cached = self._closed_lookup(phi)
-            if cached is not None:
-                return cached
-            if self.cfg.engine == "tabulate" or self._should_auto_table(phi):
-                value = self._tabulate_lambda(phi, env)
+            body = compiled(phi.body)
+            if self.cfg.engine == "tabulate" or (
+                closed and self._table_safe(phi)
+            ):
+                def make(env):
+                    return self._tabulate_lambda(phi, body, env)
             else:
-                value = LamClosure(phi, env, self)
-            return self._closed_store(phi, value)
-        if isinstance(phi, (Mu, MuVec)):
-            cached = self._closed_lookup(phi)
-            if cached is not None:
-                return cached
+                def make(env):
+                    return LamClosure(phi, body, env)
+        else:  # Mu or MuVec; children() has rejected anything else
             bindings, index0 = _fix_bindings(phi)
-            if self.cfg.engine == "tabulate" or not self._local_safe(phi):
-                value = self.lfp_global_bindings(bindings, env, index0)
+            bindings = [(name, ty, compiled(b)) for name, ty, b in bindings]
+            names = {name for name, _, _ in bindings}
+            # Demand-local solving is sound when the fixpoint's own
+            # variables only head application spines: then no memo key is
+            # computed from an in-flight approximation, so every entry
+            # ascends.  A fixpoint that feeds itself its own output (like
+            # the buffer walk's X (X Z)) is iterated as a whole value.
+            if self.cfg.engine == "tabulate" or not _fixvars_head_only(
+                phi, names
+            ):
+                def make(env):
+                    return self.lfp_global_bindings(bindings, env, index0)
             else:
-                solver = FixSolver(self, bindings, env)
-                ref = FixRef(solver, index0, ())
-                value = (
-                    solver.read(index0, ()) if ref.total_arity == 0 else ref
-                )
-            return self._closed_store(phi, value)
-        raise InternalError(f"not a formula: {phi!r}")
+                def make(env):
+                    solver = FixSolver(self, bindings, env)
+                    if solver.arities[index0] == 0:
+                        return solver.read(index0, ())
+                    return FixRef(solver, index0, ())
+        return _once(make) if closed else make
 
-    def _closed_lookup(self, phi):
-        hit = self._closed_cache.get(id(phi))
-        if hit is not None and hit[0] is phi:
-            return hit[1]
-        return None
-
-    def _local_safe(self, phi) -> bool:
-        """Demand-local solving is sound when the fixpoint's own variables
-        only head application spines: then no memo key is computed from an
-        in-flight approximation, so every entry ascends.  A fixpoint that
-        feeds itself its own output (like the buffer walk's X (X Z)) is
-        iterated as a whole value instead."""
-        hit = self._local_ok.get(id(phi))
-        if hit is not None and hit[0] is phi:
-            return hit[1]
-        if isinstance(phi, Mu):
-            names = {phi.var}
-        else:
-            names = {v for v, _, _ in phi.bindings}
-        ok = _fixvars_head_only(phi, names)
-        self._local_ok[id(phi)] = (phi, ok)
-        return ok
-
-    def _should_auto_table(self, phi: Lam) -> bool:
+    def _table_safe(self, phi: Lam) -> bool:
         """Tabulate a closed lambda when its domain is small and every
         fixpoint under it keeps its own variables in application-head
         position.  The head condition keeps the fixpoint transformers
         monotone no matter which table the binder is given, so tabulation
         over the full function space cannot diverge."""
-        hit = self._auto_table.get(id(phi))
-        if hit is not None and hit[0] is phi:
-            return hit[1]
-        ok = not syntax.free_vars(phi)
-        if ok:
-            try:
-                ok = denote.cardinality(phi.ty, self.n) <= self.cfg.auto_table_limit
-            except BoundBudgetError:
-                ok = False
-        if ok:
-            for f in syntax.iter_nodes(phi.body):
-                if isinstance(f, Mu):
-                    names = {f.var}
-                elif isinstance(f, MuVec):
-                    names = {v for v, _, _ in f.bindings}
-                else:
-                    continue
-                if not _fixvars_head_only(f, names):
-                    ok = False
-                    break
-        self._auto_table[id(phi)] = (phi, ok)
-        return ok
+        try:
+            if denote.cardinality(phi.ty, self.n) > self.cfg.auto_table_limit:
+                return False
+        except BoundBudgetError:
+            return False
+        for f in syntax.iter_nodes(phi.body):
+            if isinstance(f, Mu):
+                names = {f.var}
+            elif isinstance(f, MuVec):
+                names = {v for v, _, _ in f.bindings}
+            else:
+                continue
+            if not _fixvars_head_only(f, names):
+                return False
+        return True
 
-    def _closed_store(self, phi, value):
-        if not syntax.free_vars(phi):
-            self._closed_cache[id(phi)] = (phi, value)
-        return value
-
-    def _tabulate_lambda(self, phi: Lam, env: dict) -> Func:
+    def _tabulate_lambda(self, phi: Lam, body, env: dict) -> Func:
         self.cfg.stats.tabulated_lambdas += 1
         entries = []
         for d in self.enum(phi.ty):
             env2 = dict(env)
             env2[phi.var] = d
-            entries.append(self.reify_value(self.eval(phi.body, env2)))
+            entries.append(self.reify_value(body(env2)))
         result_ty = PrType() if isinstance(entries[0], Ground) else entries[0].ty
         return Func(Arrow(phi.ty, phi.variance, result_ty), self.n, tuple(entries))
 
     def lfp_global_bindings(self, bindings, env, index0):
-        """Whole-value iteration from bottom for a simultaneous fixpoint."""
+        """Whole-value iteration from bottom for a simultaneous fixpoint;
+        `bindings` holds (name, type, compiled body) triples."""
         tys = [ty for _, ty, _ in bindings]
         vals = [denote.bottom(ty, self.n) for ty in tys]
         atoms = sum(full_space_height(ty, self.n) - 1 for ty in tys)
@@ -421,9 +498,7 @@ class Evaluator:
             env2 = dict(env)
             for (name, _, _), v in zip(bindings, vals):
                 env2[name] = v
-            new = [
-                self.reify_value(self.eval(body, env2)) for _, _, body in bindings
-            ]
+            new = [self.reify_value(body(env2)) for _, _, body in bindings]
             for old_v, new_v in zip(vals, new):
                 if not denote.leq(old_v, new_v):
                     raise InternalError(
@@ -436,13 +511,39 @@ class Evaluator:
     # -- public entry points
 
     def eval_closed(self, phi: Formula, typecheck: bool = True):
-        if typecheck and id(phi) not in self._typed_roots:
-            infer(EMPTY_CONTEXT, phi)
-            self._typed_roots.add(id(phi))
-        return self.eval(phi, {})
+        if typecheck:
+            hit = self._compiled.get(id(phi))
+            if hit is None or not hit[2]:
+                infer(EMPTY_CONTEXT, phi)
+                self._compiled[id(phi)] = (phi, self._compile(phi), True)
+        return self._compile(phi)({})
 
     def denotation(self, phi: Formula, typecheck: bool = True) -> Denotation:
         return self.reify_value(self.eval_closed(phi, typecheck))
+
+
+def _once(make):
+    """A closed node's closure: its value does not depend on the
+    environment, so it is made on the first call and kept."""
+    cell = []
+
+    def run_closed(env):
+        if not cell:
+            cell.append(make(env))
+        return cell[0]
+
+    return run_closed
+
+
+def _pre_image(by_target, mask: int) -> int:
+    out = 0
+    t = 0
+    while mask:
+        if mask & 1:
+            out |= by_target[t]
+        mask >>= 1
+        t += 1
+    return out
 
 
 def _fix_bindings(phi):

@@ -8,6 +8,7 @@ Bounds are exact big-integer computations guarded by a digit budget.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from . import syntax
@@ -330,9 +331,13 @@ def height_bound(ty: HflType, n: int,
     return (n + 1) * tower(n * (m + k - 1) ** (k - 1), k, digit_budget) ** m
 
 
+@functools.lru_cache(maxsize=1024)
 def full_space_cardinality(ty: HflType, n: int,
                            digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
-    """Exact size of the full (all-tables) function space over n states."""
+    """Exact size of the full (all-tables) function space over n states.
+
+    Memoized: enumeration and indexing ask for the same few types over and
+    over.  A refusal raises and so is never cached."""
     limit = _bits_budget(digit_budget)
 
     def go(t: HflType) -> int:

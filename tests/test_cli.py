@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,26 @@ def test_check_parse_error_is_exit_2(files, capsys, tmp_path):
     assert main(["check", "--lts", str(chain), "--formula", str(bad),
                  "--state", "0"]) == 2
     assert "error[ParseError]:" in capsys.readouterr().err
+
+
+def test_check_too_deep_is_exit_2_without_traceback(files, tmp_path):
+    # 30,000 nested modalities pass the recursion limit while parsing; that
+    # is an error (2), never a failing property (1).
+    _, chain, _, _, _ = files
+    deep = tmp_path / "deep.hfl"
+    deep.write_text("<a> " * 30_000 + "true\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hflcheck.cli import main; sys.exit(main(sys.argv[1:]))",
+         "check", "--lts", str(chain), "--formula", str(deep), "--state", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "error[RecursionError]:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_typecheck_reports_measures(files, capsys, tmp_path):

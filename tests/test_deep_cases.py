@@ -105,3 +105,20 @@ def test_level2_quantifiers_over_one_state():
     )
     assert ev.denotation(App(counter_formula("exists", k, p), pred)) == full(p)
     assert ev.denotation(App(counter_formula("forall", k, p), pred)).mask == 0
+
+
+def test_evaluator_handles_deep_nesting():
+    # 6,000 Neg(Dia) pairs are 12,000 nested nodes: compiling must not
+    # recurse, and evaluating may take one frame per node.  Typechecking
+    # takes two frames per node, so it is left out here.
+    lts = gen_counter_lts(2)
+    pairs = 6_000
+    phi = Prop("q")
+    for _ in range(pairs):
+        phi = Neg(Dia("lower", phi))
+    # q holds nowhere; [lower] over the one lower edge 1 -> 0 alternates.
+    mask = 0
+    for _ in range(pairs):
+        pre = 0b10 if mask & 0b01 else 0
+        mask = pre ^ 0b11
+    assert evaluate(lts, phi, typecheck=False).mask == mask

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hflcheck.denote import Ground, full, index_of, number_repr
+from hflcheck.denote import Func, Ground, element_at, full, index_of, number_repr
 from hflcheck.errors import (
     InternalError,
     UnboundVariableError,
@@ -257,3 +257,42 @@ def test_stats_are_populated():
     phi = Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
     evaluate(lts, phi, cfg=cfg)
     assert cfg.stats.fixpoint_iterations >= 1
+
+
+# A closed lambda over Pr -> Pr with 256 arguments on two states: small
+# enough for the demand engine to tabulate.
+APPLY_TO_Q = Lam("F", Z, FUN, App(Var("F"), Dia("a", Prop("q"))))
+
+
+def test_closed_table_is_computed_once_per_evaluator():
+    lts = make_lts(2, [(0, "a", 1), (1, "a", 1)], [(1, "q")])
+    cfg = EvalConfig()
+    ev = Evaluator(lts, cfg)
+    first = ev.eval_closed(APPLY_TO_Q)
+    assert isinstance(first, Func)
+    tabulated = cfg.stats.tabulated_lambdas
+    assert tabulated == 1
+    assert ev.eval_closed(APPLY_TO_Q) is first
+    assert cfg.stats.tabulated_lambdas == tabulated
+
+    other_cfg = EvalConfig()
+    other = Evaluator(lts, other_cfg).eval_closed(APPLY_TO_Q)
+    assert other is not first
+    assert other == first
+    assert other_cfg.stats.tabulated_lambdas == 1
+
+
+def test_func_application_by_identity_matches_index_of():
+    # Enumerated arguments are looked up by identity; an equal argument
+    # built elsewhere goes through index_of and must land on the same entry.
+    lts = make_lts(2, [(0, "a", 1), (1, "a", 0)], [(1, "q")])
+    ev = Evaluator(lts)
+    table = ev.eval_closed(APPLY_TO_Q)
+    elems = ev.enum(FUN)
+    assert len(elems) == 256
+    for i, elem in enumerate(elems):
+        rebuilt = element_at(FUN, lts.n, i)
+        assert rebuilt == elem and rebuilt is not elem
+        assert ev.apply_value(table, elem) is table.table[i]
+        assert ev.apply_value(table, rebuilt) is table.table[i]
+        assert table.table[i] == elem.table[ev.denotation(Dia("a", Prop("q"))).mask]
