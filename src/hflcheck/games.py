@@ -11,6 +11,13 @@ single choices, which preserves winners because every link belongs to the
 opponent.  Terminals are classified by the literal winning conditions,
 including stuck modalities.  Every move strictly shrinks the formula, so
 the graph is a DAG and backward induction solves it in one pass.
+
+Every value the builder carries (a guess, a challenge argument, a bound
+variable) is an element of an enumerated lattice, so it is carried as its
+canonical index, its position in that enumeration.  Configurations are
+keyed by the state, the argument stack and the values of the formula's
+free variables as such indices; a denotation is rebuilt from its index
+only where a terminal or a challenge outcome reads its value.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from . import denote, surface, syntax
-from .denote import enumerate_lattice, index_of
+from .denote import enumerate_lattice
 from .errors import GameLimitError, InternalError
 from .lts import Lts
 from .semantics import eliminate_fixpoints
@@ -97,6 +104,7 @@ class _Builder:
             raise ValueError("game construction needs a formula of ground type")
         self.negs: dict = {}
         self.enums: dict = {}
+        self.fv_names: dict = {}  # id(f) -> f's free variables, sorted
         self.kinds: list = []
         self.payloads: list = []
         self.edges: list = []
@@ -139,13 +147,20 @@ class _Builder:
         self.charge()
 
     def config(self, state, stack, env, f):
-        fvs = syntax.free_vars(f)
-        items = tuple(sorted((x, d) for x, d in env.items() if x in fvs))
-        key = ("c", state, stack, items, id(f))
+        """The node for `state` in f applied to `stack` under `env`.
+
+        `stack` is a tuple of argument indices and `env` maps variable
+        names to indices; the key holds only f's free variables.
+        """
+        names = self.fv_names.get(id(f))
+        if names is None:
+            names = tuple(sorted(syntax.free_vars(f)))
+            self.fv_names[id(f)] = names
+        key = ("c", state, stack, tuple([env[x] for x in names]), id(f))
         got = self.index.get(key)
         if got is not None:
             return got
-        idx = self.new_node(None, ("config", state, stack, dict(items), f), key)
+        idx = self.new_node(None, ("config", state, stack, env, f), key)
         self.pending.append(idx)
         return idx
 
@@ -157,10 +172,11 @@ class _Builder:
         self.pending.append(idx)
         return idx
 
-    @staticmethod
-    def apply_denot(g, args):
+    def applied(self, ty, i, args):
+        """The ground value of the i-th element of `ty` applied to `args`."""
+        g = self.domain(ty)[i]
         for a in args:
-            g = g.table[index_of(a)]
+            g = g.table[a]
         return g
 
     def build(self, start_state):
@@ -182,7 +198,7 @@ class _Builder:
         if isinstance(f, Prop):
             self.kinds[idx] = WIN_E if lts.has_prop(state, f.name) else WIN_A
         elif isinstance(f, Var):
-            val = self.apply_denot(env[f.name], stack)
+            val = self.applied(self.types[id(f)], env[f.name], stack)
             self.kinds[idx] = WIN_E if val.mask >> state & 1 else WIN_A
         elif isinstance(f, Or):
             self.kinds[idx] = EXISTS
@@ -210,7 +226,7 @@ class _Builder:
                     WIN_E if not lts.has_prop(state, b.name) else WIN_A
                 )
             elif isinstance(b, Var):
-                val = self.apply_denot(env[b.name], stack)
+                val = self.applied(self.types[id(b)], env[b.name], stack)
                 self.kinds[idx] = (
                     WIN_E if not (val.mask >> state & 1) else WIN_A
                 )
@@ -253,45 +269,45 @@ class _Builder:
     def app_node(self, idx, state, stack, env, app, negated):
         self.kinds[idx] = EXISTS
         sigma = self.types[id(app.arg)]
-        for gi, g in enumerate(self.domain(sigma)):
+        for gi in range(len(self.domain(sigma))):
             aux = self.aux(
                 FORALL,
-                ("g", state, stack, env, app, g, negated, idx),
+                ("g", state, stack, env, app, gi, negated, idx),
                 ("g", idx, gi),
             )
             self.add_edge(idx, aux)
 
     def expand_guess(self, idx, payload):
-        _, state, stack, env, app, g, negated, _parent = payload
+        _, state, stack, env, app, gi, negated, _parent = payload
         func = self.neg_of(app.func) if negated else app.func
-        self.add_edge(idx, self.config(state, (g,) + stack, env, func))
+        self.add_edge(idx, self.config(state, (gi,) + stack, env, func))
         if self.monolithic:
             sigma_args = uncurry(self.types[id(app.arg)])
-            domains = [self.domain(t) for t in sigma_args]
-            for hs in itertools.product(*domains):
-                self.add_challenge_outcomes(idx, env, app, g, tuple(hs))
+            ranges = [range(len(self.domain(t))) for t in sigma_args]
+            for hs in itertools.product(*ranges):
+                self.add_challenge_outcomes(idx, env, app, gi, hs)
         else:
-            entry = self.aux(FORALL, ("h", env, app, g, (), idx), ("h", idx, ()))
+            entry = self.aux(FORALL, ("h", env, app, gi, (), idx), ("h", idx, ()))
             self.add_edge(idx, entry)
 
     def expand_challenge(self, idx, payload):
-        _, env, app, g, hs, guess_idx = payload
+        _, env, app, gi, hs, guess_idx = payload
         sigma_args = uncurry(self.types[id(app.arg)])
         picked = len(hs)
         if picked < len(sigma_args):
-            for hi, h in enumerate(self.domain(sigma_args[picked])):
-                hs2 = hs + (h,)
+            for hi in range(len(self.domain(sigma_args[picked]))):
+                hs2 = hs + (hi,)
                 succ = self.aux(
                     FORALL,
-                    ("h", env, app, g, hs2, guess_idx),
-                    ("h", guess_idx, tuple(index_of(x) for x in hs2)),
+                    ("h", env, app, gi, hs2, guess_idx),
+                    ("h", guess_idx, hs2),
                 )
                 self.add_edge(idx, succ)
             return
-        self.add_challenge_outcomes(idx, env, app, g, hs)
+        self.add_challenge_outcomes(idx, env, app, gi, hs)
 
-    def add_challenge_outcomes(self, idx, env, app, g, hs):
-        value = self.apply_denot(g, hs)
+    def add_challenge_outcomes(self, idx, env, app, gi, hs):
+        value = self.applied(self.types[id(app.arg)], gi, hs)
         for t in range(self.lts.n):
             if value.mask >> t & 1:
                 self.add_edge(idx, self.config(t, hs, env, app.arg))
@@ -305,7 +321,9 @@ def build_game(lts: Lts, start_state: int, phi: Formula,
                monolithic: bool = False) -> Game:
     """The model-checking game for a closed, fixpoint-free ground formula.
 
-    Configurations are hash-consed so shared subformulas share subgames.
+    Configurations are hash-consed so shared subformulas share subgames;
+    their keys hold canonical lattice indices (positions in each type's
+    enumeration) for the argument stack and the free variables' values.
     Construction counts nodes plus edges as it goes and stops with the
     closed-form estimate attached once the count passes `limit`.  With
     `monolithic` the opponent's challenge is a single tuple choice; the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import LtsFormatError
 
@@ -14,6 +14,7 @@ class Lts:
     n: int
     edges: dict  # action -> frozenset[(int, int)]
     labels: tuple  # state -> frozenset[str]
+    _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -24,13 +25,21 @@ class Lts:
             for s, t in es:
                 if not (0 <= s < self.n and 0 <= t < self.n):
                     raise LtsFormatError(f"edge {s} -{a}-> {t} out of range")
+        succ: dict = {}
+        for a, es in self.edges.items():
+            for s, t in es:
+                succ.setdefault((s, a), []).append(t)
+        object.__setattr__(
+            self, "_succ", {k: tuple(sorted(ts)) for k, ts in succ.items()}
+        )
 
     @property
     def actions(self):
         return tuple(sorted(self.edges))
 
-    def successors(self, state: int, action: str):
-        return sorted(t for s, t in self.edges.get(action, ()) if s == state)
+    def successors(self, state: int, action: str) -> tuple:
+        """Sorted `action`-successors of `state`, from a table built once."""
+        return self._succ.get((state, action), ())
 
     def has_prop(self, state: int, prop: str) -> bool:
         return prop in self.labels[state]

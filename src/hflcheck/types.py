@@ -144,20 +144,15 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
         return tuple(sorted(entries, key=_ctx_sort_key))
 
     def go(ctx: Context, f: Formula) -> HflType:
+        # The memo check and the rules share one function, so each level
+        # of nesting takes one Python frame.
         key = (id(f), ctx_key(ctx, f))
         got = memo.get(key)
         if got is not None:
             return got
-        ty = rule(ctx, f)
-        memo[key] = ty
-        if collected is not None:
-            collected[id(f)] = ty
-        return ty
-
-    def rule(ctx: Context, f: Formula) -> HflType:
         if isinstance(f, Prop):
-            return PR
-        if isinstance(f, Var):
+            ty = PR
+        elif isinstance(f, Var):
             ent = ctx.lookup(f.name)
             if ent is None:
                 raise TypeError_(f"unbound variable {f.name}", f)
@@ -166,22 +161,21 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                 raise VarianceError(
                     f"variable {f.name} used at negative variance", f
                 )
-            return ty
-        if isinstance(f, Neg):
-            return go(ctx.complement(), f.body)
-        if isinstance(f, Or):
+        elif isinstance(f, Neg):
+            ty = go(ctx.complement(), f.body)
+        elif isinstance(f, Or):
             for side in (f.left, f.right):
                 if not isinstance(go(ctx, side), PrType):
                     raise TypeError_("disjunction over a non-ground operand", f)
-            return PR
-        if isinstance(f, Dia):
+            ty = PR
+        elif isinstance(f, Dia):
             if not isinstance(go(ctx, f.body), PrType):
                 raise TypeError_("modality over a non-ground operand", f)
-            return PR
-        if isinstance(f, Lam):
+            ty = PR
+        elif isinstance(f, Lam):
             body_ty = go(ctx.extend(f.var, f.variance, f.ty), f.body)
-            return Arrow(f.ty, f.variance, body_ty)
-        if isinstance(f, App):
+            ty = Arrow(f.ty, f.variance, body_ty)
+        elif isinstance(f, App):
             fun_ty = go(ctx, f.func)
             if not isinstance(fun_ty, Arrow):
                 raise TypeError_("application of a non-function", f)
@@ -200,16 +194,16 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                         f"argument type {format_type(got)} differs from "
                         f"expected {format_type(fun_ty.arg)} (complement pass)", f
                     )
-            return fun_ty.result
-        if isinstance(f, Mu):
+            ty = fun_ty.result
+        elif isinstance(f, Mu):
             body_ty = go(ctx.extend(f.var, Variance.PLUS, f.ty), f.body)
             if body_ty != f.ty:
                 raise TypeError_(
                     f"fixpoint body has type {format_type(body_ty)}, "
                     f"declared {format_type(f.ty)}", f
                 )
-            return f.ty
-        if isinstance(f, MuVec):
+            ty = f.ty
+        elif isinstance(f, MuVec):
             ctx2 = ctx
             for v, t, _ in f.bindings:
                 ctx2 = ctx2.extend(v, Variance.PLUS, t)
@@ -220,8 +214,13 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                         f"component {v} has type {format_type(body_ty)}, "
                         f"declared {format_type(t)}", f
                     )
-            return f.bindings[f.index - 1][1]
-        raise TypeError_(f"not a formula: {f!r}", f)
+            ty = f.bindings[f.index - 1][1]
+        else:
+            raise TypeError_(f"not a formula: {f!r}", f)
+        memo[key] = ty
+        if collected is not None:
+            collected[id(f)] = ty
+        return ty
 
     return go(ctx, phi)
 

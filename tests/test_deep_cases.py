@@ -122,3 +122,18 @@ def test_evaluator_handles_deep_nesting():
         pre = 0b10 if mask & 0b01 else 0
         mask = pre ^ 0b11
     assert evaluate(lts, phi, typecheck=False).mask == mask
+
+
+def test_typechecked_evaluation_handles_deep_nesting():
+    # Typechecking takes one frame per nested node, like evaluation, so
+    # the same 6,000 pairs also evaluate with typechecking on.
+    lts = gen_counter_lts(2)
+    pairs = 6_000
+    phi = Prop("q")
+    for _ in range(pairs):
+        phi = Neg(Dia("lower", phi))
+    mask = 0
+    for _ in range(pairs):
+        pre = 0b10 if mask & 0b01 else 0
+        mask = pre ^ 0b11
+    assert evaluate(lts, phi).mask == mask

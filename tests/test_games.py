@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hflcheck.encodings import chi_formula, counter_formula
 from hflcheck.errors import BudgetError, GameLimitError
 from hflcheck.games import (
     EXISTS,
@@ -18,7 +19,7 @@ from hflcheck.games import (
     solve,
     topological_order,
 )
-from hflcheck.lts import gen_chain, gen_word_lts, make_lts
+from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import eliminate_fixpoints, holds
 from hflcheck.syntax import (
     App,
@@ -29,11 +30,12 @@ from hflcheck.syntax import (
     Or,
     Prop,
     Var,
+    apply_all,
     desugar_vec,
     ff,
     tt,
 )
-from hflcheck.types import PR, Arrow, Variance
+from hflcheck.types import PR, Arrow, Variance, typecheck
 
 import oracles
 import randgen
@@ -211,3 +213,30 @@ def test_export_json_deterministic():
     one = export_game(build_game(lts, 0, phi), "json", solve(build_game(lts, 0, phi)))
     two = export_game(build_game(lts, 0, phi), "json", solve(build_game(lts, 0, phi)))
     assert one == two
+
+
+@pytest.mark.parametrize("name,i,j,nodes,edges,winner", [
+    ("eq", 0, 3, 367, 500, FORALL),
+    ("gt", 1, 3, 1_153, 1_847, FORALL),
+    ("exists", None, None, 108_253, 224_207, EXISTS),
+], ids=["eq(0,3)", "gt(1,3)", "exists(eq max)"])
+def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner):
+    # A builder that builds a different game may still reach the right
+    # verdict, so the sizes of a few counter-corpus games are pinned too.
+    p = 2
+    lts = gen_counter_lts(p)
+    if i is None:
+        pred = Lam("W", Z, PR, apply_all(counter_formula("eq", 0, p),
+                                         Var("W"),
+                                         counter_formula("max", 0, p)))
+        phi = App(counter_formula("exists", 0, p), pred)
+    else:
+        phi = apply_all(counter_formula(name, 0, p), chi_formula(i, 0, p),
+                        chi_formula(j, 0, p))
+    flat = desugar_vec(phi)
+    typecheck(flat)
+    fp_free = eliminate_fixpoints(flat, lts)
+    for state in range(p):
+        game = build_game(lts, state, fp_free)
+        assert (game.node_count, game.edge_count) == (nodes, edges)
+        assert solve(game).winner == winner

@@ -1,5 +1,7 @@
 """Transition system model, file format, generators."""
 
+import random
+
 import pytest
 
 from hflcheck.denote import Ground
@@ -15,6 +17,8 @@ from hflcheck.lts import (
 )
 from hflcheck.semantics import evaluate
 from hflcheck.syntax import box, Dia, Prop, tt
+
+import randgen
 
 
 def test_load_minimal():
@@ -134,3 +138,13 @@ def test_test_modality_is_global():
 def test_round_trip_generated_counter():
     lts = gen_counter_lts(4)
     assert load(save(lts)) == lts
+
+
+def test_successors_match_a_sorted_scan():
+    rng = random.Random(11)
+    for _ in range(50):
+        lts = randgen.random_lts(rng, 4)
+        for s in range(lts.n):
+            for a in randgen.ACTIONS + ("missing",):
+                scan = sorted(t for s2, t in lts.edges.get(a, ()) if s2 == s)
+                assert lts.successors(s, a) == tuple(scan)
