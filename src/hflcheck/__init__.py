@@ -11,7 +11,6 @@ from .denote import (
     Denotation,
     Func,
     Ground,
-    LatticeEnum,
     complement,
     enumerate_lattice,
     index_of,
@@ -43,7 +42,6 @@ __all__ = [
     "Ground",
     "HflError",
     "HflType",
-    "LatticeEnum",
     "Lts",
     "Variance",
     "approximant",

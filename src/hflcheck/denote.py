@@ -132,48 +132,17 @@ def index_of(d: Denotation) -> int:
     return i
 
 
-class LatticeEnum:
-    """Canonical enumeration handle for the full function space of a type."""
-
-    def __init__(self, ty: HflType, n: int, limit: int = DEFAULT_ENUM_LIMIT):
-        if limit < 1:
-            raise ValueError("limit must be at least 1")
-        self.ty = ty
-        self.n = n
-        self.cardinality = cardinality(ty, n)
-        if self.cardinality > limit:
-            raise EnumLimitError(self.cardinality, limit)
-
-    def at(self, i: int) -> Denotation:
-        return element_at(self.ty, self.n, i)
-
-    def index_of(self, d: Denotation) -> int:
-        return index_of(d)
-
-    def __len__(self):
-        return self.cardinality
-
-    def __iter__(self):
-        for i in range(self.cardinality):
-            yield element_at(self.ty, self.n, i)
-
-
 def enumerate_lattice(ty: HflType, n: int,
-                      limit: int = DEFAULT_ENUM_LIMIT) -> LatticeEnum:
-    return LatticeEnum(ty, n, limit)
+                      limit: int = DEFAULT_ENUM_LIMIT) -> tuple:
+    """Every element of the full lattice of `ty`, in canonical order."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    size = cardinality(ty, n)
+    if size > limit:
+        raise EnumLimitError(size, limit)
+    return tuple(element_at(ty, n, i) for i in range(size))
 
 
 def number_repr(i: int, k: int, p: int) -> Denotation:
     """The canonical element of the k-th chain type encoding the number i."""
     return element_at(chain_type(k), p, i)
-
-
-def is_monotone(d: Func, arg_enum: LatticeEnum) -> bool:
-    """Optional monotonicity filter w.r.t. the unflattened argument order."""
-    elems = list(arg_enum)
-    m = len(elems)
-    for i in range(m):
-        for j in range(m):
-            if leq(elems[i], elems[j]) and not leq(d.table[i], d.table[j]):
-                return False
-    return True

@@ -22,7 +22,6 @@ only where a terminal or a challenge outcome reads its value.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -87,12 +86,11 @@ def size_bound_for(phi: Formula, lts: Lts) -> int:
 
 
 class _Builder:
-    def __init__(self, lts, phi, limit, enum_limit, monolithic):
+    def __init__(self, lts, phi, limit, enum_limit):
         self.lts = lts
         self.phi = phi
         self.limit = limit
         self.enum_limit = enum_limit
-        self.monolithic = monolithic
         for f in syntax.iter_nodes(phi):
             if isinstance(f, (Mu, MuVec)):
                 raise ValueError(
@@ -123,7 +121,7 @@ class _Builder:
     def domain(self, ty):
         got = self.enums.get(ty)
         if got is None:
-            got = list(enumerate_lattice(ty, self.lts.n, self.enum_limit))
+            got = enumerate_lattice(ty, self.lts.n, self.enum_limit)
             self.enums[ty] = got
         return got
 
@@ -281,14 +279,8 @@ class _Builder:
         _, state, stack, env, app, gi, negated, _parent = payload
         func = self.neg_of(app.func) if negated else app.func
         self.add_edge(idx, self.config(state, (gi,) + stack, env, func))
-        if self.monolithic:
-            sigma_args = uncurry(self.types[id(app.arg)])
-            ranges = [range(len(self.domain(t))) for t in sigma_args]
-            for hs in itertools.product(*ranges):
-                self.add_challenge_outcomes(idx, env, app, gi, hs)
-        else:
-            entry = self.aux(FORALL, ("h", env, app, gi, (), idx), ("h", idx, ()))
-            self.add_edge(idx, entry)
+        entry = self.aux(FORALL, ("h", env, app, gi, (), idx), ("h", idx, ()))
+        self.add_edge(idx, entry)
 
     def expand_challenge(self, idx, payload):
         _, env, app, gi, hs, guess_idx = payload
@@ -317,21 +309,18 @@ class _Builder:
 
 def build_game(lts: Lts, start_state: int, phi: Formula,
                limit: int = DEFAULT_GAME_LIMIT,
-               enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
-               monolithic: bool = False) -> Game:
+               enum_limit: int = denote.DEFAULT_ENUM_LIMIT) -> Game:
     """The model-checking game for a closed, fixpoint-free ground formula.
 
     Configurations are hash-consed so shared subformulas share subgames;
     their keys hold canonical lattice indices (positions in each type's
     enumeration) for the argument stack and the free variables' values.
     Construction counts nodes plus edges as it goes and stops with the
-    closed-form estimate attached once the count passes `limit`.  With
-    `monolithic` the opponent's challenge is a single tuple choice; the
-    default chains it through one pick per node.
+    closed-form estimate attached once the count passes `limit`.
     """
     if not 0 <= start_state < lts.n:
         raise ValueError(f"state {start_state} out of range")
-    return _Builder(lts, phi, limit, enum_limit, monolithic).build(start_state)
+    return _Builder(lts, phi, limit, enum_limit).build(start_state)
 
 
 def solve(game: Game) -> Solution:

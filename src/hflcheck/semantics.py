@@ -6,8 +6,10 @@ code generation", 1987): the kind of the node, the Ground of a
 proposition, the tabulation choice for a lambda and the fixpoint strategy
 are all settled at compile time, so evaluation does no dispatch on node
 kinds.  Compilation walks the formula iteratively, children first, once
-per node object per `Evaluator`; a closed lambda or fixpoint keeps its
-value in its own closure cell.
+per node object per `Evaluator`.  A closed application, lambda or
+fixpoint (one without free variables, as the node itself records) keeps
+its value in its own closure cell, so it is evaluated once per evaluator,
+not once per argument or iteration of an enclosing lambda or fixpoint.
 
 The `demand` engine keeps lambda values as closures and solves least
 fixpoints locally: each fully applied fixpoint argument tuple gets a memo
@@ -58,6 +60,11 @@ from .types import (
 )
 
 
+# Closed lambdas over domains at most this large are turned into tables by
+# the demand engine when provably safe; applications become lookups.
+AUTO_TABLE_LIMIT = 4096
+
+
 @dataclass
 class EvalStats:
     fixpoint_iterations: int = 0
@@ -70,9 +77,6 @@ class EvalConfig:
     engine: str = "demand"  # or "tabulate"
     enum_limit: int = denote.DEFAULT_ENUM_LIMIT
     max_fixpoint_evals: int = 10**7
-    # Closed lambdas over domains at most this large are turned into tables
-    # by the demand engine when provably safe; applications become lookups.
-    auto_table_limit: int = 4096
     stats: EvalStats = field(default_factory=EvalStats)
 
     def __post_init__(self):
@@ -248,7 +252,7 @@ class Evaluator:
         enumerated on the first call for each type."""
         got = self._enums.get(ty)
         if got is None:
-            got = tuple(enumerate_lattice(ty, self.n, self.cfg.enum_limit))
+            got = enumerate_lattice(ty, self.n, self.cfg.enum_limit)
             self._enums[ty] = got
             if isinstance(ty, Arrow):
                 self._enum_index.update((id(d), i) for i, d in enumerate(got))
@@ -348,13 +352,16 @@ class Evaluator:
         grounds = self._grounds
         ground = self._ground
         full = self._full_mask
+        closed = not phi.fv
         if isinstance(phi, Prop):
             value = ground(self.prop_mask(phi.name))
-            return lambda env: value
-        if isinstance(phi, Var):
+
+            def run(env):
+                return value
+        elif isinstance(phi, Var):
             name = phi.name
 
-            def run_var(env):
+            def run(env):
                 try:
                     v = env[name]
                 except KeyError:
@@ -362,25 +369,21 @@ class Evaluator:
                 if type(v) is FixRef and v.total_arity == len(v.args):
                     return v.solver.read(v.comp, v.args)
                 return v
-
-            return run_var
-        if isinstance(phi, Neg):
+        elif isinstance(phi, Neg):
             body = compiled(phi.body)
             complement = self.complement_value
 
-            def run_neg(env):
+            def run(env):
                 v = body(env)
                 if type(v) is Ground:
                     m = v.mask ^ full
                     return grounds.get(m) or ground(m)
                 return complement(v)
-
-            return run_neg
-        if isinstance(phi, Or):
+        elif isinstance(phi, Or):
             left_run = compiled(phi.left)
             right_run = compiled(phi.right)
 
-            def run_or(env):
+            def run(env):
                 left = left_run(env)
                 if left.mask == full:
                     # The union is already everything; skip the right
@@ -391,40 +394,42 @@ class Evaluator:
                     return left
                 m = left.mask | right_run(env).mask
                 return grounds.get(m) or ground(m)
-
-            return run_or
-        if isinstance(phi, Dia):
+        elif isinstance(phi, Dia):
             body = compiled(phi.body)
             by_target = self._pred_masks.get(phi.action) or [0] * self.n
 
-            def run_dia(env):
+            def run(env):
                 m = _pre_image(by_target, body(env).mask)
                 return grounds.get(m) or ground(m)
-
-            return run_dia
-        if isinstance(phi, App):
+        elif isinstance(phi, App):
             func_run = compiled(phi.func)
             arg_run = compiled(phi.arg)
             apply = self.apply_value
+            if closed:
+                kept = []
 
-            def run_app(env):
-                f = func_run(env)
-                a = arg_run(env)
-                if type(f) is Func and type(a) is Ground:
-                    return f.table[a.mask]
-                return apply(f, a)
-
-            return run_app
-        closed = not syntax.free_vars(phi)
-        if isinstance(phi, Lam):
+                # Kept here rather than by _once, so that a chain of closed
+                # applications takes one frame per level on the first call.
+                def run(env):
+                    if not kept:
+                        kept.append(apply(func_run(env), arg_run(env)))
+                    return kept[0]
+            else:
+                def run(env):
+                    f = func_run(env)
+                    a = arg_run(env)
+                    if type(f) is Func and type(a) is Ground:
+                        return f.table[a.mask]
+                    return apply(f, a)
+        elif isinstance(phi, Lam):
             body = compiled(phi.body)
             if self.cfg.engine == "tabulate" or (
                 closed and self._table_safe(phi)
             ):
-                def make(env):
+                def run(env):
                     return self._tabulate_lambda(phi, body, env)
             else:
-                def make(env):
+                def run(env):
                     return LamClosure(phi, body, env)
         else:  # Mu or MuVec; children() has rejected anything else
             bindings, index0 = _fix_bindings(phi)
@@ -438,15 +443,22 @@ class Evaluator:
             if self.cfg.engine == "tabulate" or not _fixvars_head_only(
                 phi, names
             ):
-                def make(env):
+                def run(env):
                     return self.lfp_global_bindings(bindings, env, index0)
             else:
-                def make(env):
+                def run(env):
                     solver = FixSolver(self, bindings, env)
                     if solver.arities[index0] == 0:
                         return solver.read(index0, ())
                     return FixRef(solver, index0, ())
-        return _once(make) if closed else make
+        # A closed node's value does not depend on the environment, so a
+        # closed application, lambda or fixpoint keeps it once made.  A
+        # proposition is a constant, and a closed Neg, Or or Dia costs a
+        # few bit operations per node down to such kept values; wrapping
+        # those as well would take a second frame per level of nesting.
+        if closed and isinstance(phi, (Lam, Mu, MuVec)):
+            return _once(run)
+        return run
 
     def _table_safe(self, phi: Lam) -> bool:
         """Tabulate a closed lambda when its domain is small and every
@@ -455,7 +467,7 @@ class Evaluator:
         monotone no matter which table the binder is given, so tabulation
         over the full function space cannot diverge."""
         try:
-            if denote.cardinality(phi.ty, self.n) > self.cfg.auto_table_limit:
+            if denote.cardinality(phi.ty, self.n) > AUTO_TABLE_LIMIT:
                 return False
         except BoundBudgetError:
             return False
@@ -522,14 +534,13 @@ class Evaluator:
         return self.reify_value(self.eval_closed(phi, typecheck))
 
 
-def _once(make):
-    """A closed node's closure: its value does not depend on the
-    environment, so it is made on the first call and kept."""
+def _once(run):
+    """`run` for a closed node, called on the first use only."""
     cell = []
 
     def run_closed(env):
         if not cell:
-            cell.append(make(env))
+            cell.append(run(env))
         return cell[0]
 
     return run_closed
@@ -583,30 +594,6 @@ def holds(lts: Lts, state: int, phi: Formula,
     if not isinstance(d, Ground):
         raise InternalError("model checking needs a ground formula")
     return bool(d.mask >> state & 1)
-
-
-def lfp_global(transformer, ty: HflType, n: int,
-               cfg: EvalConfig | None = None) -> Denotation:
-    """Least fixpoint of a monotone transformer on the full-space lattice.
-
-    Iterates from bottom; the iteration count never exceeds one plus the
-    number of ground atoms of the lattice, which is asserted.
-    """
-    cfg = cfg or EvalConfig()
-    val = denote.bottom(ty, n)
-    atoms = full_space_height(ty, n) - 1
-    steps = 0
-    while True:
-        cfg.stats.fixpoint_iterations += 1
-        new = transformer(val)
-        if not denote.leq(val, new):
-            raise InternalError("transformer is not monotone from bottom")
-        if new == val:
-            return val
-        steps += 1
-        if steps > atoms + 1:
-            raise IterationCapError("fixpoint exceeded the lattice height")
-        val = new
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,75 @@
 """Core formula syntax: AST, derived forms, substitution, closure, measures.
 
-Formulas are immutable trees built from nine constructors.  Substitution
-shares untouched subtrees, so formulas produced by unfolding are DAGs in
-memory; every traversal here memoizes on object identity to stay linear in
-the number of distinct nodes.
+Formulas are immutable trees built from nine constructors.  Every node
+carries its free variable names, computed once at construction from its
+children's sets.  Substitution shares untouched subtrees, so formulas
+produced by unfolding are DAGs in memory; every traversal here memoizes on
+object identity to stay linear in the number of distinct nodes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
+#
+# Each node sets `fv`, its free variable names, in `__post_init__` from its
+# children's sets (nodes are frozen, hence `_set`); a set equal to a
+# child's is that child's set object, so sharing stays cheap.
 
 
 @dataclass(frozen=True, slots=True)
 class Formula:
-    pass
+    fv: frozenset = field(init=False, repr=False, compare=False)
+
+
+_NO_VARS = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    return b if a <= b else a | b
+
+
+def _bind(fv: frozenset, var: str) -> frozenset:
+    return fv - {var} if var in fv else fv
+
+
+_set = object.__setattr__
+
+
+def free_vars(phi: Formula) -> frozenset:
+    if isinstance(phi, Formula):
+        return phi.fv
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Prop(Formula):
     name: str
 
+    def __post_init__(self):
+        _set(self, "fv", _NO_VARS)
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
+    def __post_init__(self):
+        _set(self, "fv", frozenset((self.name,)))
+
 
 @dataclass(frozen=True, slots=True)
 class Neg(Formula):
     body: Formula
+
+    def __post_init__(self):
+        _set(self, "fv", self.body.fv)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,17 +77,26 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "fv", _union(self.left.fv, self.right.fv))
+
 
 @dataclass(frozen=True, slots=True)
 class Dia(Formula):
     action: str
     body: Formula
 
+    def __post_init__(self):
+        _set(self, "fv", self.body.fv)
+
 
 @dataclass(frozen=True, slots=True)
 class App(Formula):
     func: Formula
     arg: Formula
+
+    def __post_init__(self):
+        _set(self, "fv", _union(self.func.fv, self.arg.fv))
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,12 +106,18 @@ class Lam(Formula):
     ty: "HflType"
     body: Formula
 
+    def __post_init__(self):
+        _set(self, "fv", _bind(self.body.fv, self.var))
+
 
 @dataclass(frozen=True, slots=True)
 class Mu(Formula):
     var: str
     ty: "HflType"
     body: Formula
+
+    def __post_init__(self):
+        _set(self, "fv", _bind(self.body.fv, self.var))
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +138,10 @@ class MuVec(Formula):
         names = [v for v, _, _ in self.bindings]
         if len(set(names)) != len(names):
             raise ValueError("vector fixpoint binders must be distinct")
+        fv = _NO_VARS
+        for _, _, b in self.bindings:
+            fv = _union(fv, b.fv)
+        _set(self, "fv", fv - set(names))
 
 
 # ---------------------------------------------------------------------------
@@ -166,40 +221,6 @@ def apply_all(func: Formula, *args: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Traversals
 
-_FV_CACHE: dict = {}
-
-
-def free_vars(phi: Formula) -> frozenset:
-    hit = _FV_CACHE.get(id(phi))
-    if hit is not None and hit[0] is phi:
-        return hit[1]
-    if isinstance(phi, (Prop,)):
-        out = frozenset()
-    elif isinstance(phi, Var):
-        out = frozenset((phi.name,))
-    elif isinstance(phi, Neg):
-        out = free_vars(phi.body)
-    elif isinstance(phi, Or):
-        out = free_vars(phi.left) | free_vars(phi.right)
-    elif isinstance(phi, Dia):
-        out = free_vars(phi.body)
-    elif isinstance(phi, App):
-        out = free_vars(phi.func) | free_vars(phi.arg)
-    elif isinstance(phi, Lam):
-        out = free_vars(phi.body) - {phi.var}
-    elif isinstance(phi, Mu):
-        out = free_vars(phi.body) - {phi.var}
-    elif isinstance(phi, MuVec):
-        bound = {v for v, _, _ in phi.bindings}
-        out = frozenset()
-        for _, _, b in phi.bindings:
-            out |= free_vars(b)
-        out -= bound
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    _FV_CACHE[id(phi)] = (phi, out)
-    return out
-
 
 def children(phi: Formula):
     if isinstance(phi, (Prop, Var)):
@@ -278,6 +299,8 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
     Capture is avoided by renaming colliding binders of `phi` on demand.
     """
     fv_repl = free_vars(repl)
+    # id(node) -> (node, result); holding the node keeps its id from being
+    # reused by a node built later in this call, such as a renamed body.
     memo: dict = {}
 
     def go(f: Formula) -> Formula:
@@ -285,7 +308,7 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
             return f
         got = memo.get(id(f))
         if got is not None:
-            return got
+            return got[1]
         if isinstance(f, Var):
             out = repl
         elif isinstance(f, Neg):
@@ -325,7 +348,7 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
             )
         else:
             raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = out
+        memo[id(f)] = (f, out)
         return out
 
     return go(phi)
@@ -342,6 +365,8 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
 class Interner:
     def __init__(self):
         self._table: dict = {}
+        # (id(node), binder signature) -> (node, canon id); holding the
+        # node keeps its id from being reused while the interner lives.
         self._memo: dict = {}
 
     def canon(self, phi: Formula) -> int:
@@ -353,7 +378,7 @@ class Interner:
         mkey = (id(f), sig)
         got = self._memo.get(mkey)
         if got is not None:
-            return got
+            return got[1]
         if isinstance(f, Prop):
             key = ("q", f.name)
         elif isinstance(f, Var):
@@ -393,7 +418,7 @@ class Interner:
         if cid is None:
             cid = len(self._table)
             self._table[key] = cid
-        self._memo[mkey] = cid
+        self._memo[mkey] = (f, cid)
         return cid
 
 
@@ -408,6 +433,13 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
 
 def fl_closure(phi: Formula):
     """The closure set, as representative formulas (alpha-deduplicated)."""
+    return set(_closure_reps(phi))
+
+
+def _closure_reps(phi: Formula) -> list:
+    """One representative per alpha-class of the closure.  Classes are
+    told apart by canonical id, never by structural hashing, which walks
+    the whole unfolded tree of a shared DAG."""
     if contains_muvec(phi):
         raise ValueError("fl_closure requires a vector-fixpoint-free formula")
     interner = Interner()
@@ -453,12 +485,12 @@ def fl_closure(phi: Formula):
                 add(g.body)
             elif isinstance(g, (Var, Prop)):
                 add(g)
-    return set(reps.values())
+    return list(reps.values())
 
 
 def measures(phi: Formula):
     """(closure size, number of distinct lambda-bound variable names)."""
-    closure = fl_closure(phi)
+    closure = _closure_reps(phi)
     lam_vars = {f.var for f in closure if isinstance(f, Lam)}
     return len(closure), len(lam_vars)
 

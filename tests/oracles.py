@@ -6,6 +6,7 @@ plain frozensets, explicit iteration, direct graph walks.
 
 from __future__ import annotations
 
+from hflcheck.denote import leq
 from hflcheck.syntax import Dia, Mu, Neg, Or, Prop, Var
 
 
@@ -42,6 +43,17 @@ def mu_check(lts, formula, env=None) -> frozenset:
                 return current
             current = new
     raise AssertionError(f"not a ground-fragment formula: {formula!r}")
+
+
+def is_monotone(d, args) -> bool:
+    """Whether the table `d` is monotone in the pointwise order of its
+    argument lattice, whose elements `args` lists in canonical order."""
+    m = len(args)
+    for i in range(m):
+        for j in range(m):
+            if leq(args[i], args[j]) and not leq(d.table[i], d.table[j]):
+                return False
+    return True
 
 
 def underflow_word(word) -> bool:

@@ -29,8 +29,7 @@ def _two_arg_application(negated: bool):
 
 
 @pytest.mark.parametrize("negated", [False, True])
-@pytest.mark.parametrize("monolithic", [False, True])
-def test_arity_two_challenge_chain(negated, monolithic):
+def test_arity_two_challenge_chain(negated):
     # two-argument guesses need a one-state model to stay enumerable
     models = [
         make_lts(1, [(0, "a", 0)], [(0, "q")]),
@@ -40,7 +39,7 @@ def test_arity_two_challenge_chain(negated, monolithic):
     for lts in models:
         phi = _two_arg_application(negated)
         direct = evaluate(lts, phi)
-        game = build_game(lts, 0, phi, monolithic=monolithic)
+        game = build_game(lts, 0, phi)
         winner_exists = solve(game).winner == "exists"
         assert winner_exists == bool(direct.mask & 1)
 
@@ -122,6 +121,17 @@ def test_evaluator_handles_deep_nesting():
         pre = 0b10 if mask & 0b01 else 0
         mask = pre ^ 0b11
     assert evaluate(lts, phi, typecheck=False).mask == mask
+
+
+def test_evaluator_handles_deep_closed_applications():
+    # Every application in the chain is closed and keeps its value; doing
+    # so must not take a second frame per level on the first call.
+    lts = gen_counter_lts(2)
+    negate = Lam("X", Z, PR, Neg(Var("X")))
+    phi = Prop("q")
+    for _ in range(12_001):
+        phi = App(negate, phi)
+    assert evaluate(lts, phi, typecheck=False).mask == 0b11
 
 
 def test_typechecked_evaluation_handles_deep_nesting():

@@ -1,7 +1,9 @@
 """Game construction, solving, exports, and the checking pipeline."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -20,7 +22,7 @@ from hflcheck.games import (
     topological_order,
 )
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
-from hflcheck.semantics import eliminate_fixpoints, holds
+from hflcheck.semantics import eliminate_fixpoints, evaluate, holds
 from hflcheck.syntax import (
     App,
     Dia,
@@ -33,6 +35,7 @@ from hflcheck.syntax import (
     apply_all,
     desugar_vec,
     ff,
+    free_vars,
     tt,
 )
 from hflcheck.types import PR, Arrow, Variance, typecheck
@@ -165,7 +168,25 @@ def test_game_agrees_with_eval_random():
         agree += 1
 
 
-def test_monolithic_matches_decomposed():
+class _WeakProp(Prop):
+    """A proposition leaf that can be referenced weakly."""
+
+
+def test_no_module_table_keeps_a_formula_alive():
+    leaf = _WeakProp("q")
+    ref = weakref.ref(leaf)
+    lts = make_lts(2, [(0, "a", 1), (1, "a", 1)], [(1, "q")])
+    step = Lam("X", Z, PR, Or(leaf, Dia("a", Var("X"))))
+    phi = App(step, Mu("Y", PR, Or(leaf, Dia("a", Var("Y")))))
+    assert free_vars(step.body) == {"X"}
+    assert evaluate(lts, phi).mask == 0b11
+    assert check_via_games(lts, 0, phi)
+    del leaf, step, phi
+    gc.collect()
+    assert ref() is None
+
+
+def test_eliminated_game_matches_direct_evaluation():
     rng = random.Random(9)
     done = 0
     while done < 80:
@@ -173,11 +194,10 @@ def test_monolithic_matches_decomposed():
         phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=3))
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
-            g1 = build_game(lts, 0, flat, 10**5)
-            g2 = build_game(lts, 0, flat, 10**5, monolithic=True)
+            game = build_game(lts, 0, flat, 10**5)
         except BudgetError:
             continue
-        assert solve(g1).winner == solve(g2).winner
+        assert (solve(game).winner == EXISTS) == holds(lts, 0, flat)
         done += 1
 
 

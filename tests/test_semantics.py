@@ -4,12 +4,8 @@ import random
 
 import pytest
 
-from hflcheck.denote import Func, Ground, element_at, full, index_of, number_repr
-from hflcheck.errors import (
-    InternalError,
-    UnboundVariableError,
-    UnfoldBudgetError,
-)
+from hflcheck.denote import Func, element_at, full, index_of, number_repr
+from hflcheck.errors import UnboundVariableError, UnfoldBudgetError
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import (
     EvalConfig,
@@ -18,7 +14,6 @@ from hflcheck.semantics import (
     eliminate_fixpoints,
     evaluate,
     holds,
-    lfp_global,
 )
 from hflcheck.syntax import (
     App,
@@ -82,18 +77,6 @@ def test_mu_reachability():
 def test_unbound_variable():
     with pytest.raises(UnboundVariableError):
         evaluate(gen_chain(1), Var("X"), typecheck=False)
-
-
-def test_lfp_global_examples():
-    # adding a point converges in two applications
-    cfg = EvalConfig()
-    out = lfp_global(lambda x: Ground(2, x.mask | 1), PR, 2, cfg)
-    assert out == Ground(2, 1)
-    assert cfg.stats.fixpoint_iterations <= 1 + full_space_height(PR, 2)
-    # non-monotone transformer is reported, not looped on
-    swap = {0: 1, 1: 0, 2: 3, 3: 2}
-    with pytest.raises(InternalError):
-        lfp_global(lambda x: Ground(2, swap[x.mask]), PR, 2)
 
 
 def test_beta_equivalence():
@@ -296,3 +279,23 @@ def test_func_application_by_identity_matches_index_of():
         assert ev.apply_value(table, elem) is table.table[i]
         assert ev.apply_value(table, rebuilt) is table.table[i]
         assert table.table[i] == elem.table[ev.denotation(Dia("a", Prop("q"))).mask]
+
+
+def test_closed_application_is_evaluated_once_per_evaluator():
+    # Over three states G's domain Pr -> Pr has 8**8 elements, too many to
+    # tabulate, so each application of G solves its open fixpoint afresh.
+    # The closed application G ID sits under a tabulated lambda; it must
+    # be solved once, not once per table entry.
+    lts = make_lts(3, [(0, "a", 1), (1, "a", 2), (2, "a", 2)], [(2, "q")])
+    reach = Mu("X", PR, Or(App(Var("H"), Prop("q")), Dia("a", Var("X"))))
+    closed_app = App(Lam("H", Z, FUN, reach), Lam("W", Z, PR, Var("W")))
+    outer = Lam("Y", Z, PR, Or(Var("Y"), closed_app))
+
+    alone = EvalConfig()
+    Evaluator(lts, alone).eval_closed(closed_app)
+    assert alone.stats.fixpoint_iterations > 0
+
+    cfg = EvalConfig()
+    table = Evaluator(lts, cfg).eval_closed(outer)
+    assert isinstance(table, Func) and len(table.table) == 8
+    assert cfg.stats.fixpoint_iterations == alone.stats.fixpoint_iterations

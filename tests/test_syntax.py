@@ -7,6 +7,7 @@ import pytest
 from hflcheck import semantics
 from hflcheck.lts import make_lts
 from hflcheck.syntax import (
+    App,
     Dia,
     Lam,
     Mu,
@@ -17,12 +18,15 @@ from hflcheck.syntax import (
     Var,
     alpha_eq,
     and_,
+    children,
     desugar_vec,
     ff,
     fl_closure,
     free_vars,
+    iter_nodes,
     measures,
     nu,
+    or_all,
     substitute,
     tree_size,
     tt,
@@ -57,6 +61,25 @@ def test_substitute_capture_avoidance():
     assert isinstance(got, Lam)
     assert got.var != "X"
     assert got.body == Or(Var(got.var), Var("X"))
+
+
+def test_substitute_renames_many_sibling_binders():
+    # Each Lam Y captures the replacement's free Y, so every body is
+    # renamed; renamed bodies are dropped as the walk goes on, and their
+    # ids must not be taken for those of later ones.
+    parts = [Lam("Y", Z, PR, Or(Var("X"), Dia(f"a{i}", Var("Y"))))
+             for i in range(200)]
+    out = substitute(or_all(parts), "X", Var("Y"))
+    lams = []
+    while isinstance(out, Or) and isinstance(out.right, Lam):
+        lams.append(out.right)
+        out = out.left
+    lams.append(out)
+    lams.reverse()
+    assert len(lams) == 200
+    for i, lam in enumerate(lams):
+        assert lam.var != "Y"
+        assert lam.body == Or(Var("Y"), Dia(f"a{i}", Var(lam.var)))
 
 
 def test_substitute_identity_up_to_alpha():
@@ -110,6 +133,40 @@ def test_measures_examples():
     assert measures(Neg(Prop("q"))) == (2, 0)
     size, lam_vars = measures(Lam("X", Z, PR, Var("X")))
     assert lam_vars == 1
+
+
+def test_measures_of_a_deeply_shared_dag():
+    # 60 levels of Or(f, f) unfold to a tree of about 2**62 nodes; the
+    # closure holds the 60 Or levels plus App, Lam, Var X, q and !q.
+    f = App(Lam("X", Z, PR, Var("X")), Prop("q"))
+    for _ in range(60):
+        f = Or(f, f)
+    assert measures(f) == (65, 1)
+
+
+def _free_vars_by_recursion(f):
+    if isinstance(f, Prop):
+        return frozenset()
+    if isinstance(f, Var):
+        return frozenset((f.name,))
+    out = frozenset().union(*map(_free_vars_by_recursion, children(f)))
+    if isinstance(f, (Lam, Mu)):
+        return out - {f.var}
+    if isinstance(f, MuVec):
+        return out - {v for v, _, _ in f.bindings}
+    return out
+
+
+def test_nodes_carry_their_free_variables():
+    rng = random.Random(29)
+    for _ in range(100):
+        phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=4))
+        for f in iter_nodes(phi):
+            assert free_vars(f) == _free_vars_by_recursion(f)
+    vec = MuVec(1, (("X", PR, Or(Var("Y"), Var("X"))), ("Y", PR, Var("Z"))))
+    assert free_vars(vec) == {"Z"}
+    with pytest.raises(TypeError):
+        free_vars("X")
 
 
 def test_closure_size_at_most_twice_length():
