@@ -85,6 +85,10 @@ def size_bound_for(phi: Formula, lts: Lts) -> int:
     return game_size_bound(lts.n, size, k, m, v)
 
 
+def _unchanged(f: Formula) -> Formula:
+    return f
+
+
 class _Builder:
     def __init__(self, lts, phi, limit, enum_limit):
         self.lts = lts
@@ -192,75 +196,45 @@ class _Builder:
 
     def expand_config(self, idx, payload):
         _, state, stack, env, f = payload
-        lts = self.lts
-        if isinstance(f, Prop):
-            self.kinds[idx] = WIN_E if lts.has_prop(state, f.name) else WIN_A
-        elif isinstance(f, Var):
-            val = self.applied(self.types[id(f)], env[f.name], stack)
-            self.kinds[idx] = WIN_E if val.mask >> state & 1 else WIN_A
-        elif isinstance(f, Or):
-            self.kinds[idx] = EXISTS
-            self.add_edge(idx, self.config(state, (), env, f.left))
-            self.add_edge(idx, self.config(state, (), env, f.right))
-        elif isinstance(f, Dia):
-            succs = lts.successors(state, f.action)
+        # A negated configuration moves like its body, with the players'
+        # roles swapped and every successor negated.
+        negated = isinstance(f, Neg)
+        if negated:
+            g = f.body
+            owner, win, lose, wrap = FORALL, WIN_A, WIN_E, self.neg_of
+        else:
+            g = f
+            owner, win, lose, wrap = EXISTS, WIN_E, WIN_A, _unchanged
+        if isinstance(g, Prop):
+            self.kinds[idx] = win if self.lts.has_prop(state, g.name) else lose
+        elif isinstance(g, Var):
+            val = self.applied(self.types[id(g)], env[g.name], stack)
+            self.kinds[idx] = win if val.mask >> state & 1 else lose
+        elif isinstance(g, Or):
+            self.kinds[idx] = owner
+            self.add_edge(idx, self.config(state, (), env, wrap(g.left)))
+            self.add_edge(idx, self.config(state, (), env, wrap(g.right)))
+        elif isinstance(g, Dia):
+            succs = self.lts.successors(state, g.action)
             if not succs:
-                self.kinds[idx] = WIN_A
+                self.kinds[idx] = lose
             else:
-                self.kinds[idx] = EXISTS
+                self.kinds[idx] = owner
+                body = wrap(g.body)
                 for t in succs:
-                    self.add_edge(idx, self.config(t, (), env, f.body))
-        elif isinstance(f, Lam):
+                    self.add_edge(idx, self.config(t, (), env, body))
+        elif isinstance(g, Lam):
             self.kinds[idx] = EXISTS
             env2 = dict(env)
-            env2[f.var] = stack[0]
-            self.add_edge(idx, self.config(state, stack[1:], env2, f.body))
-        elif isinstance(f, App):
-            self.app_node(idx, state, stack, env, f, negated=False)
-        elif isinstance(f, Neg):
-            b = f.body
-            if isinstance(b, Prop):
-                self.kinds[idx] = (
-                    WIN_E if not lts.has_prop(state, b.name) else WIN_A
-                )
-            elif isinstance(b, Var):
-                val = self.applied(self.types[id(b)], env[b.name], stack)
-                self.kinds[idx] = (
-                    WIN_E if not (val.mask >> state & 1) else WIN_A
-                )
-            elif isinstance(b, Or):
-                self.kinds[idx] = FORALL
-                self.add_edge(
-                    idx, self.config(state, (), env, self.neg_of(b.left))
-                )
-                self.add_edge(
-                    idx, self.config(state, (), env, self.neg_of(b.right))
-                )
-            elif isinstance(b, Dia):
-                succs = lts.successors(state, b.action)
-                if not succs:
-                    self.kinds[idx] = WIN_E
-                else:
-                    self.kinds[idx] = FORALL
-                    for t in succs:
-                        self.add_edge(
-                            idx, self.config(t, (), env, self.neg_of(b.body))
-                        )
-            elif isinstance(b, Neg):
-                self.kinds[idx] = EXISTS
-                self.add_edge(idx, self.config(state, stack, env, b.body))
-            elif isinstance(b, Lam):
-                self.kinds[idx] = EXISTS
-                env2 = dict(env)
-                env2[b.var] = stack[0]
-                self.add_edge(
-                    idx,
-                    self.config(state, stack[1:], env2, self.neg_of(b.body)),
-                )
-            elif isinstance(b, App):
-                self.app_node(idx, state, stack, env, b, negated=True)
-            else:
-                raise InternalError(f"unhandled negated formula {b!r}")
+            env2[g.var] = stack[0]
+            self.add_edge(
+                idx, self.config(state, stack[1:], env2, wrap(g.body))
+            )
+        elif isinstance(g, App):
+            self.app_node(idx, state, stack, env, g, negated)
+        elif isinstance(g, Neg):  # f is Neg(Neg x): one edge to x
+            self.kinds[idx] = EXISTS
+            self.add_edge(idx, self.config(state, stack, env, g.body))
         else:
             raise InternalError(f"unhandled formula {f!r}")
 

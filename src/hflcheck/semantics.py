@@ -5,11 +5,14 @@ into a Python closure `run(env)` (Feeley & Lapalme, "Using closures for
 code generation", 1987): the kind of the node, the Ground of a
 proposition, the tabulation choice for a lambda and the fixpoint strategy
 are all settled at compile time, so evaluation does no dispatch on node
-kinds.  Compilation walks the formula iteratively, children first, once
-per node object per `Evaluator`.  A closed application, lambda or
-fixpoint (one without free variables, as the node itself records) keeps
-its value in its own closure cell, so it is evaluated once per evaluator,
-not once per argument or iteration of an enclosing lambda or fixpoint.
+kinds.  Compilation is one `syntax.fold` over the formula, children first
+and without recursion, with the evaluator's table of compiled nodes as its
+`done` table, so each node object is compiled once per `Evaluator`.  A
+closed application, lambda or fixpoint (one without free variables, as
+the node itself records) keeps its value in its own closure cell, so it
+is evaluated once per evaluator, not once per argument or iteration of an
+enclosing lambda or fixpoint.  Fixpoint elimination is another fold: it
+rebuilds the formula and replaces each mu by its unfolding.
 
 The `demand` engine keeps lambda values as closures and solves least
 fixpoints locally: each fully applied fixpoint argument tuple gets a memo
@@ -64,6 +67,10 @@ from .types import (
 # the demand engine when provably safe; applications become lookups.
 AUTO_TABLE_LIMIT = 4096
 
+# The demand solver refuses (IterationCapError) once the evaluation's stats
+# count more fixpoint body evaluations than this.
+MAX_FIXPOINT_EVALS = 10**7
+
 
 @dataclass
 class EvalStats:
@@ -76,14 +83,11 @@ class EvalStats:
 class EvalConfig:
     engine: str = "demand"  # or "tabulate"
     enum_limit: int = denote.DEFAULT_ENUM_LIMIT
-    max_fixpoint_evals: int = 10**7
     stats: EvalStats = field(default_factory=EvalStats)
 
     def __post_init__(self):
         if self.engine not in ("demand", "tabulate"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.max_fixpoint_evals < 1:
-            raise ValueError("iteration cap must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +172,13 @@ class FixSolver:
 
     def _run(self):
         stats = self.ev.cfg.stats
-        cap = self.ev.cfg.max_fixpoint_evals
         while self.dirty:
             key = self.dirty.pop()
             self.queued.discard(key)
             stats.fixpoint_iterations += 1
-            if stats.fixpoint_iterations > cap:
+            if stats.fixpoint_iterations > MAX_FIXPOINT_EVALS:
                 raise IterationCapError(
-                    f"over {cap} fixpoint body evaluations; "
+                    f"over {MAX_FIXPOINT_EVALS} fixpoint body evaluations; "
                     "likely non-convergence"
                 )
             self.current = key
@@ -218,10 +221,11 @@ class Evaluator:
             for s, t in es:
                 by_target[t] |= 1 << s
             self._pred_masks[a] = by_target
-        # id(node) -> (node, compiled closure, typechecked as a closed root);
-        # holding the node keeps its id from being reused, so an id found
-        # here is the node itself.
+        # id(node) -> (node, compiled closure), the `done` table of
+        # `syntax.fold`; holding the node keeps its id from being reused, so
+        # an id found here is the node itself.
         self._compiled: dict = {}
+        self._typed_roots: set = set()  # ids of roots typechecked as closed
         self._grounds: dict = {}  # mask -> the one Ground with that mask
         self._enums: dict = {}  # type -> tuple of its elements
         # id(element) -> canonical index, for every enumerated Func; the
@@ -318,37 +322,13 @@ class Evaluator:
 
     def _compile(self, phi: Formula):
         """The closure computing `phi`, compiling every node not yet
-        compiled, children before parents, with an explicit stack: a
-        recursive compiler would need two frames per level of nesting."""
-        table = self._compiled
-        hit = table.get(id(phi))
-        if hit is not None:
-            return hit[1]
-        stack = [(phi, False)]  # (node, are its children compiled?)
-        while stack:
-            f, children_done = stack.pop()
-            if id(f) in table:
-                continue
-            if children_done:
-                table[id(f)] = (f, self._compile_node(f), False)
-                continue
-            try:
-                children = syntax.children(f)
-            except TypeError:
-                raise InternalError(f"not a formula: {f!r}") from None
-            stack.append((f, True))
-            for c in children:
-                if id(c) not in table:
-                    stack.append((c, False))
-        return table[id(phi)][1]
+        compiled, children before parents."""
+        if not isinstance(phi, Formula):
+            raise InternalError(f"not a formula: {phi!r}")
+        return syntax.fold(phi, self._compile_node, done=self._compiled)
 
-    def _compile_node(self, phi: Formula):
-        """The closure for one node whose children are compiled."""
-        table = self._compiled
-
-        def compiled(f):
-            return table[id(f)][1]
-
+    def _compile_node(self, phi: Formula, kids):
+        """The closure for one node, given its children's closures."""
         grounds = self._grounds
         ground = self._ground
         full = self._full_mask
@@ -370,7 +350,7 @@ class Evaluator:
                     return v.solver.read(v.comp, v.args)
                 return v
         elif isinstance(phi, Neg):
-            body = compiled(phi.body)
+            body = kids[0]
             complement = self.complement_value
 
             def run(env):
@@ -380,8 +360,7 @@ class Evaluator:
                     return grounds.get(m) or ground(m)
                 return complement(v)
         elif isinstance(phi, Or):
-            left_run = compiled(phi.left)
-            right_run = compiled(phi.right)
+            left_run, right_run = kids
 
             def run(env):
                 left = left_run(env)
@@ -395,15 +374,14 @@ class Evaluator:
                 m = left.mask | right_run(env).mask
                 return grounds.get(m) or ground(m)
         elif isinstance(phi, Dia):
-            body = compiled(phi.body)
+            body = kids[0]
             by_target = self._pred_masks.get(phi.action) or [0] * self.n
 
             def run(env):
                 m = _pre_image(by_target, body(env).mask)
                 return grounds.get(m) or ground(m)
         elif isinstance(phi, App):
-            func_run = compiled(phi.func)
-            arg_run = compiled(phi.arg)
+            func_run, arg_run = kids
             apply = self.apply_value
             if closed:
                 kept = []
@@ -422,18 +400,19 @@ class Evaluator:
                         return f.table[a.mask]
                     return apply(f, a)
         elif isinstance(phi, Lam):
-            body = compiled(phi.body)
+            body = kids[0]
             if self.cfg.engine == "tabulate" or (
                 closed and self._table_safe(phi)
             ):
                 def run(env):
-                    return self._tabulate_lambda(phi, body, env)
+                    self.cfg.stats.tabulated_lambdas += 1
+                    return self.reify_value(LamClosure(phi, body, env))
             else:
                 def run(env):
                     return LamClosure(phi, body, env)
         else:  # Mu or MuVec; children() has rejected anything else
             bindings, index0 = _fix_bindings(phi)
-            bindings = [(name, ty, compiled(b)) for name, ty, b in bindings]
+            bindings = [(v, ty, k) for (v, ty, _), k in zip(bindings, kids)]
             names = {name for name, _, _ in bindings}
             # Demand-local solving is sound when the fixpoint's own
             # variables only head application spines: then no memo key is
@@ -482,16 +461,6 @@ class Evaluator:
                 return False
         return True
 
-    def _tabulate_lambda(self, phi: Lam, body, env: dict) -> Func:
-        self.cfg.stats.tabulated_lambdas += 1
-        entries = []
-        for d in self.enum(phi.ty):
-            env2 = dict(env)
-            env2[phi.var] = d
-            entries.append(self.reify_value(body(env2)))
-        result_ty = PrType() if isinstance(entries[0], Ground) else entries[0].ty
-        return Func(Arrow(phi.ty, phi.variance, result_ty), self.n, tuple(entries))
-
     def lfp_global_bindings(self, bindings, env, index0):
         """Whole-value iteration from bottom for a simultaneous fixpoint;
         `bindings` holds (name, type, compiled body) triples."""
@@ -523,11 +492,10 @@ class Evaluator:
     # -- public entry points
 
     def eval_closed(self, phi: Formula, typecheck: bool = True):
-        if typecheck:
-            hit = self._compiled.get(id(phi))
-            if hit is None or not hit[2]:
-                infer(EMPTY_CONTEXT, phi)
-                self._compiled[id(phi)] = (phi, self._compile(phi), True)
+        if typecheck and id(phi) not in self._typed_roots:
+            infer(EMPTY_CONTEXT, phi)
+            self._compile(phi)  # holds phi, so its id stays its own
+            self._typed_roots.add(id(phi))
         return self._compile(phi)({})
 
     def denotation(self, phi: Formula, typecheck: bool = True) -> Denotation:
@@ -644,41 +612,22 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
     if syntax.contains_muvec(phi):
         raise ValueError("desugar vector fixpoints before elimination")
     n = lts.n
-    memo: dict = {}
 
-    def go(f: Formula) -> Formula:
-        got = memo.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, (Prop, Var)):
-            out = f
-        elif isinstance(f, Neg):
-            out = Neg(go(f.body))
-        elif isinstance(f, Or):
-            out = Or(go(f.left), go(f.right))
-        elif isinstance(f, Dia):
-            out = Dia(f.action, go(f.body))
-        elif isinstance(f, App):
-            out = App(go(f.func), go(f.arg))
-        elif isinstance(f, Lam):
-            out = Lam(f.var, f.variance, f.ty, go(f.body))
-        elif isinstance(f, Mu):
-            body = go(f.body)
-            h = full_space_height(f.ty, n)
-            if h > unfold_budget:
-                raise UnfoldBudgetError(h, unfold_budget)
-            acc = _zero_approximant(f.ty)
-            for _ in range(h):
-                acc = substitute(body, f.var, acc)
-            if syntax.dag_size(acc) > size_budget:
-                raise UnfoldBudgetError(syntax.dag_size(acc), size_budget)
-            out = acc
-        else:
-            raise InternalError(f"not a formula: {f!r}")
-        memo[id(f)] = out
-        return out
+    def step(f: Formula, kids) -> Formula:
+        if not isinstance(f, Mu):
+            return syntax.rebuild(f, kids)
+        h = full_space_height(f.ty, n)
+        if h > unfold_budget:
+            raise UnfoldBudgetError(h, unfold_budget)
+        acc = _zero_approximant(f.ty)
+        for _ in range(h):
+            acc = substitute(kids[0], f.var, acc)
+        size = syntax.dag_size(acc)
+        if size > size_budget:
+            raise UnfoldBudgetError(size, size_budget)
+        return acc
 
-    out = go(phi)
+    out = syntax.fold(phi, step)
     before = syntax.lambda_binder_names(phi)
     after = syntax.lambda_binder_names(out)
     max_arity = max(

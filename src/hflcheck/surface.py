@@ -32,7 +32,7 @@ from .syntax import (
     nu,
     tt,
 )
-from .types import PR, Arrow, HflType, PrType, Variance
+from .types import PR, Arrow, HflType, Variance, format_type
 
 RESERVED = {"mu", "nu", "fix", "tt", "ff", "true", "false", "Pr"}
 
@@ -378,13 +378,8 @@ def parse_type(text: str) -> HflType:
 _VARC = {Variance.PLUS: "^+", Variance.MINUS: "^-", Variance.ZERO: "^0"}
 
 
-def print_type(ty: HflType) -> str:
-    if isinstance(ty, PrType):
-        return "Pr"
-    arg = print_type(ty.arg)
-    if isinstance(ty.arg, Arrow):
-        arg = f"({arg})"
-    return f"{arg}{_VARC[ty.variance]} -> {print_type(ty.result)}"
+# Types print the same everywhere; this is `types.format_type`.
+print_type = format_type
 
 
 _PREC_BINDER = 0

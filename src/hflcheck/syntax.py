@@ -5,12 +5,19 @@ carries its free variable names, computed once at construction from its
 children's sets.  Substitution shares untouched subtrees, so formulas
 produced by unfolding are DAGs in memory; every traversal here memoizes on
 object identity to stay linear in the number of distinct nodes.
+
+Every rewrite goes through one walker, `fold`: it visits the children of
+a node before the node, with an explicit stack instead of Python
+recursion, so the depth of a formula is bounded by memory, not by the
+interpreter's recursion limit.  `substitute`, `desugar_vec`, `tree_size`,
+fixpoint elimination and the evaluator's compiler are each one `step`
+over it; `rebuild`, the inverse of `children`, makes the new node.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,67 @@ def children(phi: Formula):
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def rebuild(f: Formula, kids) -> Formula:
+    """A new node like `f` with children `kids`: the inverse of `children`.
+    A leaf has no children and is returned as it is."""
+    if isinstance(f, (Prop, Var)):
+        return f
+    if isinstance(f, Neg):
+        return Neg(kids[0])
+    if isinstance(f, Or):
+        return Or(kids[0], kids[1])
+    if isinstance(f, Dia):
+        return Dia(f.action, kids[0])
+    if isinstance(f, App):
+        return App(kids[0], kids[1])
+    if isinstance(f, Lam):
+        return Lam(f.var, f.variance, f.ty, kids[0])
+    if isinstance(f, Mu):
+        return Mu(f.var, f.ty, kids[0])
+    if isinstance(f, MuVec):
+        return MuVec(f.index, tuple(
+            (v, t, k) for (v, t, _), k in zip(f.bindings, kids)
+        ))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def fold(phi: Formula, step, enter=None, done=None):
+    """The result of `step(f, kids)` at `phi`, where `kids` holds the
+    results at f's children; each distinct node is stepped once, after
+    its children.
+
+    The walk keeps an explicit stack, so it takes no Python frame per
+    level of nesting.  `done` maps id(node) -> (node, result); holding the
+    node keeps its id from being reused while the table lives, so a table
+    passed in carries results from one call to the next.  `enter(f)`, when
+    given, returns the node whose children are visited and which is passed
+    to `step`, or None to make `f` its own result.
+    """
+    if done is None:
+        done = {}
+    # (node, the node entered for it, that node's children), the last two
+    # None until the node is entered; a node's children are done before
+    # its entered entry comes off the stack again.
+    stack = [(phi, None, None)]
+    while stack:
+        f, g, cs = stack.pop()
+        if g is not None:
+            done[id(f)] = (f, step(g, [done[id(c)][1] for c in cs]))
+            continue
+        if id(f) in done:
+            continue
+        g = f if enter is None else enter(f)
+        if g is None:
+            done[id(f)] = (f, f)
+            continue
+        cs = children(g)
+        stack.append((f, g, cs))
+        for c in cs:
+            if id(c) not in done:
+                stack.append((c, None, None))
+    return done[id(phi)][1]
+
+
 def iter_nodes(phi: Formula):
     """Every distinct node object, each once (DAG-aware)."""
     seen = set()
@@ -255,15 +323,9 @@ def dag_size(phi: Formula) -> int:
     return sum(1 for _ in iter_nodes(phi))
 
 
-def tree_size(phi: Formula, _memo=None) -> int:
+def tree_size(phi: Formula) -> int:
     """Syntactic length: node count of the fully unfolded tree (big int)."""
-    memo = _memo if _memo is not None else {}
-    got = memo.get(id(phi))
-    if got is not None:
-        return got
-    out = 1 + sum(tree_size(c, memo) for c in children(phi))
-    memo[id(phi)] = out
-    return out
+    return fold(phi, lambda f, kids: 1 + sum(kids))
 
 
 def lambda_binder_names(phi: Formula) -> frozenset:
@@ -299,59 +361,32 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
     Capture is avoided by renaming colliding binders of `phi` on demand.
     """
     fv_repl = free_vars(repl)
-    # id(node) -> (node, result); holding the node keeps its id from being
-    # reused by a node built later in this call, such as a renamed body.
-    memo: dict = {}
 
-    def go(f: Formula) -> Formula:
+    def enter(f: Formula):
         if name not in free_vars(f):
-            return f
-        got = memo.get(id(f))
-        if got is not None:
-            return got[1]
-        if isinstance(f, Var):
-            out = repl
-        elif isinstance(f, Neg):
-            out = Neg(go(f.body))
-        elif isinstance(f, Or):
-            out = Or(go(f.left), go(f.right))
-        elif isinstance(f, Dia):
-            out = Dia(f.action, go(f.body))
-        elif isinstance(f, App):
-            out = App(go(f.func), go(f.arg))
-        elif isinstance(f, Lam):
-            body, var = f.body, f.var
-            if var in fv_repl:
-                var = fresh_name(var, fv_repl | free_vars(body) | {name})
-                body = substitute(body, f.var, Var(var))
-            out = Lam(var, f.variance, f.ty, go(body))
-        elif isinstance(f, Mu):
-            body, var = f.body, f.var
-            if var in fv_repl:
-                var = fresh_name(var, fv_repl | free_vars(body) | {name})
-                body = substitute(body, f.var, Var(var))
-            out = Mu(var, f.ty, go(body))
-        elif isinstance(f, MuVec):
-            bindings = list(f.bindings)
-            for i, (v, t, b) in enumerate(bindings):
+            return None
+        if isinstance(f, (Lam, Mu)) and f.var in fv_repl:
+            var = fresh_name(f.var, fv_repl | f.body.fv | {name})
+            return replace(f, var=var, body=substitute(f.body, f.var, Var(var)))
+        if isinstance(f, MuVec) and any(v in fv_repl for v, _, _ in f.bindings):
+            bindings = f.bindings
+            for v, _, _ in f.bindings:
                 if v in fv_repl:
                     avoid = set(fv_repl) | {name}
                     for _, _, bb in bindings:
-                        avoid |= free_vars(bb)
+                        avoid |= bb.fv
                     v2 = fresh_name(v, avoid)
                     bindings = [
                         (w if w != v else v2, tw, substitute(bw, v, Var(v2)))
                         for w, tw, bw in bindings
                     ]
-            out = MuVec(
-                f.index, tuple((v, t, go(b)) for v, t, b in bindings)
-            )
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = (f, out)
-        return out
+            return MuVec(f.index, tuple(bindings))
+        return f
 
-    return go(phi)
+    def step(f: Formula, kids) -> Formula:
+        return repl if isinstance(f, Var) else rebuild(f, kids)
+
+    return fold(phi, step, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -501,35 +536,14 @@ def measures(phi: Formula):
 
 def desugar_vec(phi: Formula) -> Formula:
     """Remove every MuVec node via the parametrised nested-fixpoint form."""
-    memo: dict = {}
 
-    def go(f: Formula) -> Formula:
-        got = memo.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, (Prop, Var)):
-            out = f
-        elif isinstance(f, Neg):
-            out = Neg(go(f.body))
-        elif isinstance(f, Or):
-            out = Or(go(f.left), go(f.right))
-        elif isinstance(f, Dia):
-            out = Dia(f.action, go(f.body))
-        elif isinstance(f, App):
-            out = App(go(f.func), go(f.arg))
-        elif isinstance(f, Lam):
-            out = Lam(f.var, f.variance, f.ty, go(f.body))
-        elif isinstance(f, Mu):
-            out = Mu(f.var, f.ty, go(f.body))
-        elif isinstance(f, MuVec):
-            bindings = [(v, t, go(b)) for v, t, b in f.bindings]
-            out = _bekic(bindings, f.index - 1)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = out
-        return out
+    def step(f: Formula, kids) -> Formula:
+        if isinstance(f, MuVec):
+            bindings = [(v, t, k) for (v, t, _), k in zip(f.bindings, kids)]
+            return _bekic(bindings, f.index - 1)
+        return rebuild(f, kids)
 
-    return go(phi)
+    return fold(phi, step)
 
 
 def _bekic(bindings, index0):

@@ -252,48 +252,43 @@ def fragment(phi: Formula):
 # ---------------------------------------------------------------------------
 # Quantitative bounds (exact big integers, digit-budgeted)
 
-DEFAULT_DIGIT_BUDGET = 10**6
+# A bound whose computation would pass this many bits (about a million
+# decimal digits) is refused with BoundBudgetError.
+BIT_BUDGET = int(10**6 * 3.33) + 16
 
 
-def _bits_budget(digit_budget: int) -> int:
-    return int(digit_budget * 3.33) + 16
-
-
-def tower(n: int, k: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def tower(n: int, k: int) -> int:
     """tower(n,0) = n, tower(n,k+1) = 2^tower(n,k)."""
     if n < 0 or k < 0:
         raise ValueError("tower arguments must be nonnegative")
-    limit = _bits_budget(digit_budget)
     val = n
     for i in range(k):
-        if val > limit:
+        if val > BIT_BUDGET:
             raise BoundBudgetError(f"tower({n},{k}) [stopped at height {i}]")
         val = 2**val
     return val
 
 
-def big_f(k: int, p: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def big_f(k: int, p: int) -> int:
     """F_0(p) = 2^p, F_{k+1}(p) = 2^(p * F_k(p)): chain-lattice cardinalities."""
     if k < 0 or p < 0:
         raise ValueError("F arguments must be nonnegative")
-    limit = _bits_budget(digit_budget)
-    if p > limit:
+    if p > BIT_BUDGET:
         raise BoundBudgetError(f"F({k},{p})")
     val = 2**p
     for i in range(k):
-        if p * val > limit:
+        if p * val > BIT_BUDGET:
             raise BoundBudgetError(f"F({k},{p}) [stopped at level {i}]")
         val = 2 ** (p * val)
     return val
 
 
-def lattice_size_bound(ty: HflType, n: int,
-                       digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def lattice_size_bound(ty: HflType, n: int) -> int:
     """Upper bound on the lattice cardinality of `ty` over n states."""
     if n < 1:
         raise ValueError("need at least one state")
     k, m = ord_(ty), mar(ty)
-    return tower(n * (m + k) ** k, k + 1, digit_budget)
+    return tower(n * (m + k) ** k, k + 1)
 
 
 def lattice_size_bound_at_least(ty: HflType, n: int, floor: int) -> bool:
@@ -321,40 +316,36 @@ def type_count_bound(k: int, m: int) -> int:
     return m ** (k * m ** (k - 1))
 
 
-def height_bound(ty: HflType, n: int,
-                 digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def height_bound(ty: HflType, n: int) -> int:
     """Upper bound on the height of the monotone lattice of `ty`."""
     k, m = ord_(ty), mar(ty)
     if k == 0:
         return n + 1
-    return (n + 1) * tower(n * (m + k - 1) ** (k - 1), k, digit_budget) ** m
+    return (n + 1) * tower(n * (m + k - 1) ** (k - 1), k) ** m
 
 
 @functools.lru_cache(maxsize=1024)
-def full_space_cardinality(ty: HflType, n: int,
-                           digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def full_space_cardinality(ty: HflType, n: int) -> int:
     """Exact size of the full (all-tables) function space over n states.
 
     Memoized: enumeration and indexing ask for the same few types over and
     over.  A refusal raises and so is never cached."""
-    limit = _bits_budget(digit_budget)
 
     def go(t: HflType) -> int:
         if isinstance(t, PrType):
             return 2**n
         dom = go(t.arg)
         cod = go(t.result)
-        if dom * cod.bit_length() > limit:
+        if dom * cod.bit_length() > BIT_BUDGET:
             raise BoundBudgetError(f"|{format_type(t)}| over {n} states")
         return cod**dom
 
     return go(ty)
 
 
-def full_space_height(ty: HflType, n: int,
-                      digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+def full_space_height(ty: HflType, n: int) -> int:
     """Exact height of the full function space: 1 + n * prod |arg_i|."""
     atoms = n
     for a in uncurry(ty):
-        atoms *= full_space_cardinality(a, n, digit_budget)
+        atoms *= full_space_cardinality(a, n)
     return 1 + atoms

@@ -10,8 +10,23 @@ from hflcheck.encodings import (
 )
 from hflcheck.games import build_game, check_via_games, solve
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
-from hflcheck.semantics import Evaluator, evaluate, holds
-from hflcheck.syntax import App, Dia, Lam, Neg, Or, Prop, Var, apply_all
+from hflcheck.semantics import Evaluator, eliminate_fixpoints, evaluate, holds
+from hflcheck.syntax import (
+    App,
+    Dia,
+    Lam,
+    Mu,
+    MuVec,
+    Neg,
+    Or,
+    Prop,
+    Var,
+    apply_all,
+    desugar_vec,
+    iter_nodes,
+    substitute,
+    tree_size,
+)
 from hflcheck.types import PR, Arrow, Variance, big_f, chain_type
 
 Z = Variance.ZERO
@@ -147,3 +162,47 @@ def test_typechecked_evaluation_handles_deep_nesting():
         pre = 0b10 if mask & 0b01 else 0
         mask = pre ^ 0b11
     assert evaluate(lts, phi).mask == mask
+
+
+# 15,000 Neg(Dia) pairs are 30,000 nested nodes, past the 20,000 recursion
+# limit the package sets: every rewrite must walk them without recursion.
+DEEP_PAIRS = 15_000
+
+
+def _deep(leaf):
+    phi = leaf
+    for _ in range(DEEP_PAIRS):
+        phi = Neg(Dia("a", phi))
+    return phi
+
+
+def _leaf_under(phi):
+    """The leaf under the Neg(Dia) pairs, checked pair by pair."""
+    for _ in range(DEEP_PAIRS):
+        assert type(phi) is Neg and type(phi.body) is Dia
+        phi = phi.body.body
+    return phi
+
+
+def test_substitute_handles_deep_nesting():
+    out = substitute(_deep(Var("X")), "X", Prop("q"))
+    assert _leaf_under(out) == Prop("q")
+    assert not out.fv
+
+
+def test_desugar_vec_handles_deep_nesting():
+    body = Or(Prop("q"), Dia("a", Var("X")))
+    out = desugar_vec(_deep(MuVec(1, (("X", PR, body),))))
+    assert _leaf_under(out) == Mu("X", PR, body)
+
+
+def test_eliminate_fixpoints_handles_deep_nesting():
+    lts = gen_chain(2)
+    mu = Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
+    leaf = _leaf_under(eliminate_fixpoints(_deep(mu), lts))
+    assert not any(isinstance(f, Mu) for f in iter_nodes(leaf))
+    assert evaluate(lts, leaf) == evaluate(lts, mu)
+
+
+def test_tree_size_handles_deep_nesting():
+    assert tree_size(_deep(Prop("q"))) == 2 * DEEP_PAIRS + 1

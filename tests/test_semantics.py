@@ -5,7 +5,11 @@ import random
 import pytest
 
 from hflcheck.denote import Func, element_at, full, index_of, number_repr
-from hflcheck.errors import UnboundVariableError, UnfoldBudgetError
+from hflcheck.errors import (
+    InternalError,
+    UnboundVariableError,
+    UnfoldBudgetError,
+)
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import (
     EvalConfig,
@@ -77,6 +81,13 @@ def test_mu_reachability():
 def test_unbound_variable():
     with pytest.raises(UnboundVariableError):
         evaluate(gen_chain(1), Var("X"), typecheck=False)
+
+
+def test_eval_of_a_non_formula_is_an_internal_error():
+    ev = Evaluator(gen_chain(1))
+    for junk in (42, "X", None):
+        with pytest.raises(InternalError):
+            ev.eval(junk, {})
 
 
 def test_beta_equivalence():
