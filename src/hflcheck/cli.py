@@ -9,6 +9,7 @@ one nondeterministic field from reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -229,7 +230,9 @@ def cmd_atm(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; `main` only reads it."""
     ap = argparse.ArgumentParser(
         prog="hflcheck",
         description="Model checker for higher-order fixpoint logic",

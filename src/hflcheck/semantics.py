@@ -2,11 +2,9 @@
 
 Two engines share one evaluator, which compiles each formula node once
 into a Python closure `run(env)` (Feeley & Lapalme, "Using closures for
-code generation", 1987): the kind of the node, the Ground of a
-proposition, the tabulation choice for a lambda and the fixpoint strategy
-are all settled at compile time, so evaluation does no dispatch on node
-kinds.  Compilation is one `syntax.fold` over the formula, children first
-and without recursion, with the evaluator's table of compiled nodes as its
+code generation", 1987), so evaluation does no dispatch on node kinds.
+Compilation is one `syntax.fold` over the formula, children first and
+without recursion, with the evaluator's table of compiled nodes as its
 `done` table, so each node object is compiled once per `Evaluator`.  A
 closed application, lambda or fixpoint (one without free variables, as
 the node itself records) keeps its value in its own closure cell, so it
@@ -14,14 +12,14 @@ is evaluated once per evaluator, not once per argument or iteration of an
 enclosing lambda or fixpoint.  Fixpoint elimination is another fold: it
 rebuilds the formula and replaces each mu by its unfolding.
 
-The `demand` engine keeps lambda values as closures and solves least
-fixpoints locally: each fully applied fixpoint argument tuple gets a memo
-entry initialized at bottom and re-propagated through recorded
-dependencies until stable (chaotic iteration, justified by Knaster-Tarski
-over the finite lattices).  The `tabulate` engine builds full argument
-tables eagerly and iterates whole lattice values from bottom.  Both only
-ever move approximations upward; any descent is reported as an internal
-error, never papered over.
+The `demand` engine keeps every lambda value as a closure that computes a
+result when applied and, over a small domain, memoizes it by the
+argument's canonical index.  It solves every least fixpoint locally with
+`FixSolver` (chaotic iteration, justified by Knaster-Tarski over the
+finite lattices).  The `tabulate` engine turns every lambda into a full
+table and iterates whole lattice values from bottom.  Both only ever move
+approximations upward; any descent is reported as an internal error,
+never papered over.
 """
 
 from __future__ import annotations
@@ -57,14 +55,14 @@ from .types import (
     Arrow,
     HflType,
     PrType,
+    Variance,
     full_space_height,
     infer,
     uncurry,
 )
 
 
-# Closed lambdas over domains at most this large are turned into tables by
-# the demand engine when provably safe; applications become lookups.
+# The largest lambda domain over which a closure memoizes its results.
 AUTO_TABLE_LIMIT = 4096
 
 # The demand solver refuses (IterationCapError) once the evaluation's stats
@@ -76,7 +74,7 @@ MAX_FIXPOINT_EVALS = 10**7
 class EvalStats:
     fixpoint_iterations: int = 0
     memo_hits: int = 0
-    tabulated_lambdas: int = 0
+    tabulated_lambdas: int = 0  # counted by the tabulating engine only
 
 
 @dataclass
@@ -95,14 +93,17 @@ class EvalConfig:
 
 
 class LamClosure:
-    """A lambda's value: its node, its compiled body and its environment."""
+    """A lambda's value: its node, its compiled body, its environment and,
+    when its domain has at most AUTO_TABLE_LIMIT elements, a memo from an
+    argument's canonical index to the result."""
 
-    __slots__ = ("node", "body", "env")
+    __slots__ = ("node", "body", "env", "memo")
 
-    def __init__(self, node, body, env):
+    def __init__(self, node, body, env, memo):
         self.node = node
         self.body = body
         self.env = env
+        self.memo = memo
 
 
 class NegWrap:
@@ -125,56 +126,64 @@ class FixRef:
         self.args = args
         self.total_arity = solver.arities[comp]
 
-    def remaining_type(self):
-        ty = self.solver.bindings[self.comp][1]
-        for _ in self.args:
-            ty = ty.result
-        return ty
-
 
 class FixSolver:
-    """Demand-driven least fixpoint of one simultaneous binding group.
-
-    `bindings` holds (name, type, compiled body) triples.
-    """
+    """Demand-driven least fixpoint of one simultaneous group of (name,
+    type, compiled body) bindings: a local solver for a monotone system with
+    dynamic dependencies (Le Charlier & Van Hentenryck, 1992; Fecht & Seidl,
+    SCP 1999)."""
 
     def __init__(self, ev, bindings, env):
         self.ev = ev
         self.bindings = bindings
         self.arities = [len(uncurry(ty)) for _, ty, _ in bindings]
+        self.plus = [{i for i, arrow in enumerate(_arrows(ty))
+                      if arrow.variance is Variance.PLUS} for _, ty, _ in bindings]
         self.env = dict(env)
         for i, (name, _, _) in enumerate(bindings):
             self.env[name] = FixRef(self, i, ())
         self.memo: dict = {}
         self.deps: dict = {}
-        self.dirty: list = []
-        self.queued: set = set()
+        self.dirty: dict = {}  # keys to re-evaluate, in insertion order
         self.current = None
 
     def read(self, comp, args) -> Ground:
+        """The join of the entries of `comp` whose arguments lie below
+        `args` in the + positions and equal them in the others.
+
+        Entries stay below the least fixpoint, which is monotone in the +
+        positions, so the join stays below it at `args`; entries only rise,
+        so reads only rise, even at an `args` computed from an in-flight
+        approximation (the buffer walk's X (X Z)), where a plain lookup can
+        fall to a fresh bottom entry.  Only + positions are joined: typing
+        keeps a fixpoint's own variables out of ^0 and ^- argument
+        positions, so no approximation moves a key there, and the least
+        fixpoint need not be monotone in them.  A changed entry re-runs the
+        readers of every key above it, even of a key stored after it."""
         key = (comp, args)
         if key not in self.memo:
             self.memo[key] = self.ev._ground(0)
             self.deps[key] = set()
-            self._push(key)
+            self.dirty[key] = None
         else:
             self.ev.cfg.stats.memo_hits += 1
-        if self.current is not None:
+        if self.current is None:
+            self._run()
+        else:
             self.deps[key].add(self.current)
+        plus = self.plus[comp]
+        if not plus:
             return self.memo[key]
-        self._run()
-        return self.memo[key]
-
-    def _push(self, key):
-        if key not in self.queued:
-            self.queued.add(key)
-            self.dirty.append(key)
+        mask = 0
+        for k, v in self.memo.items():
+            if k[0] == comp and _below(k[1], args, plus):
+                mask |= v.mask
+        return self.ev._ground(mask)
 
     def _run(self):
         stats = self.ev.cfg.stats
         while self.dirty:
-            key = self.dirty.pop()
-            self.queued.discard(key)
+            key, _ = self.dirty.popitem()
             stats.fixpoint_iterations += 1
             if stats.fixpoint_iterations > MAX_FIXPOINT_EVALS:
                 raise IterationCapError(
@@ -198,8 +207,11 @@ class FixSolver:
                         "fixpoint approximation moved down the order"
                     )
                 self.memo[key] = val
-                for d in self.deps[key]:
-                    self._push(d)
+                plus = self.plus[comp]
+                for k in self.deps if plus else (key,):
+                    if k[0] == comp and _below(args, k[1], plus):
+                        for d in self.deps[k]:
+                            self.dirty[d] = None
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +279,17 @@ class Evaluator:
     def apply_value(self, f, a):
         kind = type(f)
         if kind is Func:
-            if type(a) is Ground:
-                return f.table[a.mask]
-            i = self._enum_index.get(id(a))
-            if i is None:
-                i = index_of(self.reify_value(a))
-            return f.table[i]
+            return f.table[self._canonical(a)[0]]
         if kind is LamClosure:
-            env2 = dict(f.env)
-            env2[f.node.var] = a
-            return f.body(env2)
+            if f.memo is None:
+                return f.body({**f.env, f.node.var: a})
+            # The body gets the denotation, so a kept result cannot depend
+            # on later reads through a suspended argument.
+            i, a = self._canonical(a)
+            got = f.memo.get(i)
+            if got is None:
+                got = f.memo[i] = f.body({**f.env, f.node.var: a})
+            return got
         if kind is NegWrap:
             return self.complement_value(self.apply_value(f.inner, a))
         if kind is FixRef:
@@ -285,6 +298,16 @@ class Evaluator:
                 return f.solver.read(f.comp, args2)
             return FixRef(f.solver, f.comp, args2)
         raise InternalError(f"applied a non-function value {f!r}")
+
+    def _canonical(self, a):
+        """The canonical index of argument `a`, and `a` as a denotation."""
+        if type(a) is Ground:
+            return a.mask, a
+        i = self._enum_index.get(id(a))
+        if i is None:
+            a = self.reify_value(a)
+            i = index_of(a)
+        return i, a
 
     def complement_value(self, v):
         if isinstance(v, Ground):
@@ -304,7 +327,7 @@ class Evaluator:
             dom_ty = v.node.ty
             variance = v.node.variance
         elif isinstance(v, FixRef):
-            arrow = v.remaining_type()
+            arrow = _arrows(v.solver.bindings[v.comp][1])[len(v.args)]
             dom_ty = arrow.arg
             variance = arrow.variance
         else:
@@ -401,27 +424,22 @@ class Evaluator:
                     return apply(f, a)
         elif isinstance(phi, Lam):
             body = kids[0]
-            if self.cfg.engine == "tabulate" or (
-                closed and self._table_safe(phi)
-            ):
+            if self.cfg.engine == "tabulate":
                 def run(env):
                     self.cfg.stats.tabulated_lambdas += 1
-                    return self.reify_value(LamClosure(phi, body, env))
+                    return self.reify_value(LamClosure(phi, body, env, None))
             else:
+                try:
+                    small = denote.cardinality(phi.ty, self.n) <= AUTO_TABLE_LIMIT
+                except BoundBudgetError:
+                    small = False
+
                 def run(env):
-                    return LamClosure(phi, body, env)
+                    return LamClosure(phi, body, env, {} if small else None)
         else:  # Mu or MuVec; children() has rejected anything else
             bindings, index0 = _fix_bindings(phi)
             bindings = [(v, ty, k) for (v, ty, _), k in zip(bindings, kids)]
-            names = {name for name, _, _ in bindings}
-            # Demand-local solving is sound when the fixpoint's own
-            # variables only head application spines: then no memo key is
-            # computed from an in-flight approximation, so every entry
-            # ascends.  A fixpoint that feeds itself its own output (like
-            # the buffer walk's X (X Z)) is iterated as a whole value.
-            if self.cfg.engine == "tabulate" or not _fixvars_head_only(
-                phi, names
-            ):
+            if self.cfg.engine == "tabulate":
                 def run(env):
                     return self.lfp_global_bindings(bindings, env, index0)
             else:
@@ -438,28 +456,6 @@ class Evaluator:
         if closed and isinstance(phi, (Lam, Mu, MuVec)):
             return _once(run)
         return run
-
-    def _table_safe(self, phi: Lam) -> bool:
-        """Tabulate a closed lambda when its domain is small and every
-        fixpoint under it keeps its own variables in application-head
-        position.  The head condition keeps the fixpoint transformers
-        monotone no matter which table the binder is given, so tabulation
-        over the full function space cannot diverge."""
-        try:
-            if denote.cardinality(phi.ty, self.n) > AUTO_TABLE_LIMIT:
-                return False
-        except BoundBudgetError:
-            return False
-        for f in syntax.iter_nodes(phi.body):
-            if isinstance(f, Mu):
-                names = {f.var}
-            elif isinstance(f, MuVec):
-                names = {v for v, _, _ in f.bindings}
-            else:
-                continue
-            if not _fixvars_head_only(f, names):
-                return False
-        return True
 
     def lfp_global_bindings(self, bindings, env, index0):
         """Whole-value iteration from bottom for a simultaneous fixpoint;
@@ -531,19 +527,21 @@ def _fix_bindings(phi):
     return list(phi.bindings), phi.index - 1
 
 
-def _fixvars_head_only(fix_node, names) -> bool:
-    """True when the fixpoint variables only head application spines, i.e.
-    they are applied but never passed into another function's argument."""
-    bodies = (
-        [fix_node.body]
-        if isinstance(fix_node, Mu)
-        else [b for _, _, b in fix_node.bindings]
+def _arrows(ty) -> list:
+    """The arrows of `ty` viewed as t1 -> ... -> tm -> Pr."""
+    out = []
+    while isinstance(ty, Arrow):
+        out.append(ty)
+        ty = ty.result
+    return out
+
+
+def _below(args, bound, plus) -> bool:
+    """`args` lies below `bound` at `plus` and equals it elsewhere."""
+    return all(
+        denote.leq(a, b) if i in plus else a == b
+        for i, (a, b) in enumerate(zip(args, bound))
     )
-    for body in bodies:
-        for f in syntax.iter_nodes(body):
-            if isinstance(f, App) and syntax.free_vars(f.arg) & names:
-                return False
-    return True
 
 
 def evaluate(lts: Lts, phi: Formula, env: dict | None = None,
@@ -584,15 +582,10 @@ def approximant(mu: Mu, alpha: int) -> Formula:
 
 
 def _zero_approximant(ty: HflType) -> Formula:
-    args = uncurry(ty)
     acc: Formula = ff()
-    arrows = []
-    t = ty
-    while isinstance(t, Arrow):
-        arrows.append(t)
-        t = t.result
-    for i in range(len(args), 0, -1):
-        acc = Lam(f"Z{i}", arrows[i - 1].variance, args[i - 1], acc)
+    arrows = _arrows(ty)
+    for i in range(len(arrows), 0, -1):
+        acc = Lam(f"Z{i}", arrows[i - 1].variance, arrows[i - 1].arg, acc)
     return acc
 
 

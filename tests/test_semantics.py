@@ -39,7 +39,9 @@ import oracles
 import randgen
 
 Z = Variance.ZERO
+P = Variance.PLUS
 FUN = Arrow(PR, Z, PR)
+MONO = Arrow(PR, P, PR)
 
 
 def test_diamond_on_chain():
@@ -221,21 +223,26 @@ def test_engine_agreement():
 
 
 def test_demand_matches_global_on_function_fixpoints():
-    # local solving vs whole-table iteration for one-argument fixpoints
+    # Local solving vs whole-table iteration for one-argument fixpoints.
+    # In the second shape F is fed its own output, so the solver reads F at
+    # arguments computed from its in-flight approximation.
     rng = random.Random(48)
-    done = 0
-    while done < 500:
-        lts = randgen.random_lts(rng, 2)
-        body = randgen.random_mu_formula(rng, 3)
-        mu = Mu(
-            "F", FUN,
-            Lam("X", Z, PR, Or(body, Or(Var("X"), Dia("a", App(Var("F"), Var("X")))))),
-        )
-        phi = App(mu, randgen.random_mu_formula(rng, 2))
-        demand = evaluate(lts, phi, cfg=EvalConfig(engine="demand"))
-        tables = evaluate(lts, phi, cfg=EvalConfig(engine="tabulate"))
-        assert demand == tables
-        done += 1
+    shapes = [
+        (FUN, Z, App(Var("F"), Var("X"))),
+        (MONO, P, App(Var("F"), App(Var("F"), Var("X")))),
+    ]
+    for ty, variance, recursion in shapes:
+        for _ in range(500):
+            lts = randgen.random_lts(rng, 2)
+            body = randgen.random_mu_formula(rng, 3)
+            mu = Mu(
+                "F", ty,
+                Lam("X", variance, PR, Or(body, Or(Var("X"), Dia("a", recursion)))),
+            )
+            phi = App(mu, randgen.random_mu_formula(rng, 2))
+            demand = evaluate(lts, phi, cfg=EvalConfig(engine="demand"))
+            tables = evaluate(lts, phi, cfg=EvalConfig(engine="tabulate"))
+            assert demand == tables
 
 
 def test_buffer_example_word_lts():
@@ -254,34 +261,39 @@ def test_stats_are_populated():
 
 
 # A closed lambda over Pr -> Pr with 256 arguments on two states: small
-# enough for the demand engine to tabulate.
+# enough for the demand engine to memoize.
 APPLY_TO_Q = Lam("F", Z, FUN, App(Var("F"), Dia("a", Prop("q"))))
 
 
 def test_closed_table_is_computed_once_per_evaluator():
     lts = make_lts(2, [(0, "a", 1), (1, "a", 1)], [(1, "q")])
-    cfg = EvalConfig()
-    ev = Evaluator(lts, cfg)
-    first = ev.eval_closed(APPLY_TO_Q)
-    assert isinstance(first, Func)
-    tabulated = cfg.stats.tabulated_lambdas
-    assert tabulated == 1
-    assert ev.eval_closed(APPLY_TO_Q) is first
-    assert cfg.stats.tabulated_lambdas == tabulated
+    ev = Evaluator(lts)
+    closure = ev.eval_closed(APPLY_TO_Q)
+    assert ev.eval_closed(APPLY_TO_Q) is closure
+    assert closure.memo == {}
+    table = ev.denotation(APPLY_TO_Q)
+    assert isinstance(table, Func)
+    assert len(closure.memo) == 256
+    again = ev.denotation(APPLY_TO_Q)
+    assert len(closure.memo) == 256
+    assert all(again.table[i] is closure.memo[i] for i in range(256))
 
-    other_cfg = EvalConfig()
-    other = Evaluator(lts, other_cfg).eval_closed(APPLY_TO_Q)
-    assert other is not first
-    assert other == first
-    assert other_cfg.stats.tabulated_lambdas == 1
+    other_ev = Evaluator(lts)
+    other = other_ev.eval_closed(APPLY_TO_Q)
+    assert other is not closure
+    assert other.memo == {}
+    assert other_ev.denotation(APPLY_TO_Q) == table
+    assert len(other.memo) == 256
 
 
 def test_func_application_by_identity_matches_index_of():
     # Enumerated arguments are looked up by identity; an equal argument
-    # built elsewhere goes through index_of and must land on the same entry.
+    # built elsewhere goes through index_of and must land on the same entry,
+    # both in a table and in a closure's memo.
     lts = make_lts(2, [(0, "a", 1), (1, "a", 0)], [(1, "q")])
     ev = Evaluator(lts)
-    table = ev.eval_closed(APPLY_TO_Q)
+    closure = ev.eval_closed(APPLY_TO_Q)
+    table = ev.denotation(APPLY_TO_Q)
     elems = ev.enum(FUN)
     assert len(elems) == 256
     for i, elem in enumerate(elems):
@@ -289,14 +301,15 @@ def test_func_application_by_identity_matches_index_of():
         assert rebuilt == elem and rebuilt is not elem
         assert ev.apply_value(table, elem) is table.table[i]
         assert ev.apply_value(table, rebuilt) is table.table[i]
+        assert ev.apply_value(closure, rebuilt) is closure.memo[i]
         assert table.table[i] == elem.table[ev.denotation(Dia("a", Prop("q"))).mask]
 
 
 def test_closed_application_is_evaluated_once_per_evaluator():
     # Over three states G's domain Pr -> Pr has 8**8 elements, too many to
-    # tabulate, so each application of G solves its open fixpoint afresh.
-    # The closed application G ID sits under a tabulated lambda; it must
-    # be solved once, not once per table entry.
+    # memoize, so each application of G solves its open fixpoint afresh.
+    # The closed application G ID sits under a reified lambda; it must be
+    # solved once, not once per table entry.
     lts = make_lts(3, [(0, "a", 1), (1, "a", 2), (2, "a", 2)], [(2, "q")])
     reach = Mu("X", PR, Or(App(Var("H"), Prop("q")), Dia("a", Var("X"))))
     closed_app = App(Lam("H", Z, FUN, reach), Lam("W", Z, PR, Var("W")))
@@ -307,6 +320,37 @@ def test_closed_application_is_evaluated_once_per_evaluator():
     assert alone.stats.fixpoint_iterations > 0
 
     cfg = EvalConfig()
-    table = Evaluator(lts, cfg).eval_closed(outer)
+    table = Evaluator(lts, cfg).denotation(outer)
     assert isinstance(table, Func) and len(table.table) == 8
     assert cfg.stats.fixpoint_iterations == alone.stats.fixpoint_iterations
+
+
+# Reification enumerates the full function space, so a + binder can be given
+# a non-monotone table such as the complement; F X then alternates between
+# the empty and the full set and a descent check fires.  The game pipeline
+# answers both formulas correctly (False at the one state).
+SELF = Lam("F", P, MONO, Mu("X", PR, App(Var("F"), Var("X"))))
+NON_MONOTONE_CASES = {
+    "through-k": App(
+        Lam("K", P, Arrow(MONO, P, PR), App(Var("K"), Lam("Y", P, PR, Var("Y")))),
+        SELF,
+    ),
+    "direct": App(SELF, Lam("Y", P, PR, Var("Y"))),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=InternalError,
+                   reason="reification feeds non-monotone tables to + binders")
+@pytest.mark.parametrize("case,engine", [
+    ("through-k", "demand"), ("through-k", "tabulate"), ("direct", "tabulate"),
+])
+def test_reified_plus_binder_gets_only_monotone_tables(case, engine):
+    phi = NON_MONOTONE_CASES[case]
+    assert evaluate(gen_chain(1), phi, cfg=EvalConfig(engine=engine)).mask == 0
+
+
+def test_demand_applies_a_lambda_only_to_its_argument():
+    # The demand engine applies F's lambda to the identity alone, so it
+    # never meets the complement table that trips the tabulating engine.
+    phi = NON_MONOTONE_CASES["direct"]
+    assert evaluate(gen_chain(1), phi, cfg=EvalConfig(engine="demand")).mask == 0
