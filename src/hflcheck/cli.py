@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
             bounds["game_size_bound"] = f"over budget ({e})"
         verdict = games.solve(game).winner == games.EXISTS
     else:
-        value = semantics.evaluate(model, phi, cfg=cfg)
+        value = semantics.evaluate(model, phi, cfg=cfg, typecheck=False)
         verdict = bool(value.mask >> args.state & 1)
     elapsed = time.monotonic() - started
 
@@ -240,14 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_budgets(p):
-        p.add_argument("--enum-limit", type=int, default=10**6,
-                       help="max lattice elements to enumerate (default 1e6)")
-        p.add_argument("--game-limit", type=int, default=10**7,
-                       help="max game nodes+edges (default 1e7)")
-        p.add_argument("--unfold-limit", type=int, default=4096,
-                       help="max unfoldings per fixpoint (default 4096)")
-        p.add_argument("--size-limit", type=int, default=10**6,
-                       help="max distinct nodes after elimination")
+        for flag, default, what in (
+            ("--enum-limit", denote.DEFAULT_ENUM_LIMIT,
+             "lattice elements to enumerate"),
+            ("--game-limit", games.DEFAULT_GAME_LIMIT, "game nodes+edges"),
+            ("--unfold-limit", semantics.DEFAULT_UNFOLD_BUDGET,
+             "unfoldings per fixpoint"),
+            ("--size-limit", semantics.DEFAULT_SIZE_BUDGET,
+             "distinct nodes after elimination"),
+        ):
+            p.add_argument(flag, type=int, default=default,
+                           help=f"max {what} (default %(default)s)")
 
     p = sub.add_parser("check", help="decide state |= formula")
     p.add_argument("--lts", required=True)

@@ -1,17 +1,19 @@
 """Semantic values and canonically enumerated lattices.
 
-A denotation is a ground state set (bitmask over n states) or a finite
-table mapping every canonical element of the argument lattice to a result
-denotation.  The canonical order makes each lattice element the digits of
-a number: ground sets are ordered by their bitmask, and a table is read as
-a base-|result| numeral whose most significant digit sits at the
-highest-indexed argument.  `number_repr`/`index_of` convert between
-numbers and elements of the chain types used by the counter encodings.
+A denotation is held as its canonical index `mask`.  A ground state set
+is its bitmask over n states.  A table of type a -> r, whose result
+lattice has 2^w elements (w = `bits(r, n)`), lays its entries' indices
+side by side as w-bit fields, entry j at bits j*w ... (j+1)*w - 1: the
+base-|r| numeral with the highest argument's digit most significant.  So
+every lattice is the powerset of its bits: the pointwise order is bitwise
+inclusion, complement flips every bit and join is bitwise or.
+`number_repr`/`index_of` convert between numbers and elements of the
+chain types used by the counter encodings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import EnumLimitError, InternalError
 from .types import Arrow, HflType, PrType, chain_type, full_space_cardinality
@@ -41,14 +43,17 @@ class Ground(Denotation):
 class Func(Denotation):
     ty: Arrow
     n: int
-    table: tuple  # one entry per canonical argument index
+    mask: int
+    width: int = field(compare=False, repr=False)  # bits(ty.result, n)
 
-
-def ground(n: int, states) -> Ground:
-    mask = 0
-    for s in states:
-        mask |= 1 << s
-    return Ground(n, mask)
+    @property
+    def table(self) -> tuple:
+        """The entries, for argument index 0 upward."""
+        w = self.width
+        end = cardinality(self.ty.arg, self.n) * w
+        digits = format(self.mask, f"0{end}b")  # entry 0 last
+        return _values(self.ty.result, self.n,
+                       [int(digits[k - w:k], 2) for k in range(end, 0, -w)])
 
 
 def full(n: int) -> Ground:
@@ -63,84 +68,91 @@ def cardinality(ty: HflType, n: int) -> int:
     return full_space_cardinality(ty, n)
 
 
+def bits(ty: HflType, n: int) -> int:
+    """The bit length of the lattice of `ty`: log2 of its cardinality."""
+    return cardinality(ty, n).bit_length() - 1
+
+
 def bottom(ty: HflType, n: int) -> Denotation:
-    if isinstance(ty, PrType):
-        return Ground(n, 0)
-    dom = cardinality(ty.arg, n)
-    entry = bottom(ty.result, n)
-    return Func(ty, n, (entry,) * dom)
+    return element_at(ty, n, 0)
 
 
 def top(ty: HflType, n: int) -> Denotation:
-    if isinstance(ty, PrType):
-        return full(n)
-    dom = cardinality(ty.arg, n)
-    entry = top(ty.result, n)
-    return Func(ty, n, (entry,) * dom)
+    return element_at(ty, n, cardinality(ty, n) - 1)
 
 
 def leq(d1: Denotation, d2: Denotation) -> bool:
     """Pointwise order; both arguments must inhabit the same lattice."""
-    if isinstance(d1, Ground) and isinstance(d2, Ground):
-        if d1.n != d2.n:
-            raise InternalError("comparing denotations over different systems")
-        return d1.mask & ~d2.mask == 0
-    if isinstance(d1, Func) and isinstance(d2, Func):
-        if d1.ty != d2.ty or d1.n != d2.n:
-            raise InternalError("comparing denotations of different types")
-        return all(leq(a, b) for a, b in zip(d1.table, d2.table))
-    raise InternalError("comparing denotations of different shapes")
+    if type(d1) is not type(d2):
+        raise InternalError("comparing denotations of different shapes")
+    if d1.n != d2.n:
+        raise InternalError("comparing denotations over different systems")
+    if type(d1) is Func and d1.ty != d2.ty:
+        raise InternalError("comparing denotations of different types")
+    return d1.mask & ~d2.mask == 0
 
 
 def complement(d: Denotation) -> Denotation:
-    if isinstance(d, Ground):
-        return Ground(d.n, d.mask ^ ((1 << d.n) - 1))
-    return Func(d.ty, d.n, tuple(complement(e) for e in d.table))
+    ty = d.ty if type(d) is Func else PrType()
+    return replace(d, mask=d.mask ^ cardinality(ty, d.n) - 1)
 
 
 def join(d1: Denotation, d2: Denotation) -> Denotation:
-    if isinstance(d1, Ground):
-        return Ground(d1.n, d1.mask | d2.mask)
-    return Func(d1.ty, d1.n, tuple(join(a, b) for a, b in zip(d1.table, d2.table)))
+    return replace(d1, mask=d1.mask | d2.mask)
 
 
 def element_at(ty: HflType, n: int, i: int) -> Denotation:
     """The i-th element of the lattice in canonical order."""
-    if isinstance(ty, PrType):
-        if not 0 <= i < (1 << n):
-            raise IndexError(f"index {i} out of range for Pr over {n} states")
-        return Ground(n, i)
-    dom = cardinality(ty.arg, n)
-    cod = cardinality(ty.result, n)
-    if not 0 <= i < cod**dom:
-        raise IndexError(f"index {i} out of range for {ty}")
-    digits = []
-    for _ in range(dom):
-        i, d = divmod(i, cod)
-        digits.append(d)
-    return Func(ty, n, tuple(element_at(ty.result, n, d) for d in digits))
+    if not 0 <= i < cardinality(ty, n):
+        raise IndexError(f"index {i} out of range for {ty} over {n} states")
+    return _values(ty, n, (i,))[0]
 
 
 def index_of(d: Denotation) -> int:
     """Inverse of element_at: the canonical index of a denotation."""
-    if isinstance(d, Ground):
-        return d.mask
-    cod = cardinality(d.ty.result, d.n)
-    i = 0
-    for entry in reversed(d.table):
-        i = i * cod + index_of(entry)
-    return i
+    return d.mask
+
+
+def entry_index(mask: int, i: int, width: int) -> int:
+    """The index of entry i of the table with index `mask`, whose entries
+    are `width` bits each."""
+    return mask >> i * width & (1 << width) - 1
+
+
+def pack(masks: list, width: int) -> int:
+    """The table index whose entries, `width` bits each, are `masks`;
+    their count is a power of two.  Adjacent fields are merged pairwise,
+    doubling the field width each round, so each round is linear."""
+    while len(masks) > 1:
+        it = iter(masks)
+        masks = [m | next(it) << width for m in it]
+        width += width
+    return masks[0]
+
+
+def _values(ty: HflType, n: int, masks) -> tuple:
+    """The elements of the lattice of `ty` with indices `masks`."""
+    if isinstance(ty, PrType):
+        return tuple([Ground(n, m) for m in masks])
+    w = bits(ty.result, n)
+    return tuple([Func(ty, n, m, w) for m in masks])
 
 
 def enumerate_lattice(ty: HflType, n: int,
                       limit: int = DEFAULT_ENUM_LIMIT) -> tuple:
     """Every element of the full lattice of `ty`, in canonical order."""
+    return _values(ty, n, range(lattice_size(ty, n, limit)))
+
+
+def lattice_size(ty: HflType, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
+    """The cardinality of `ty`'s lattice, refused (EnumLimitError) past
+    `limit` elements."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     size = cardinality(ty, n)
     if size > limit:
         raise EnumLimitError(size, limit)
-    return tuple(element_at(ty, n, i) for i in range(size))
+    return size
 
 
 def number_repr(i: int, k: int, p: int) -> Denotation:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .denote import Denotation, Func, empty, full
+from .denote import Denotation, Func, pack
 from .errors import AtmFormatError, SpaceBoundError
 from .syntax import (
     App,
@@ -43,7 +43,7 @@ from .syntax import (
     or_all,
     tt,
 )
-from .types import PR, Arrow, Variance, chain_type
+from .types import PR, Arrow, Variance, big_f, chain_type
 
 ZERO = Variance.ZERO
 PLUS = Variance.PLUS
@@ -550,12 +550,12 @@ def machine_formula(atm: Atm, k: int, p: int, word=None) -> Formula:
 
 def encode_tape(cells, k: int, p: int) -> Denotation:
     """The denotation of a concrete tape: position h maps to S iff cell h."""
-    cells = tuple(bool(b) for b in cells)
-    return Func(
-        Arrow(chain_type(k), ZERO, PR),
-        p,
-        tuple(full(p) if c else empty(p) for c in cells),
-    )
+    ones = (1 << p) - 1
+    masks = [ones if c else 0 for c in cells]
+    if len(masks) != big_f(k, p):
+        raise ValueError(
+            f"a level-{k} tape over {p} states has {big_f(k, p)} cells")
+    return Func(Arrow(chain_type(k), ZERO, PR), p, pack(masks, p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ including stuck modalities.  Every move strictly shrinks the formula, so
 the graph is a DAG and backward induction solves it in one pass.
 
 Every value the builder carries (a guess, a challenge argument, a bound
-variable) is an element of an enumerated lattice, so it is carried as its
-canonical index, its position in that enumeration.  Configurations are
-keyed by the state, the argument stack and the values of the formula's
-free variables as such indices; a denotation is rebuilt from its index
-only where a terminal or a challenge outcome reads its value.
+variable) is an element of a finite lattice, so it is carried as its
+canonical index, which is also its encoding (see `denote`).  Configurations
+are keyed by the state, the argument stack and the values of the formula's
+free variables as such indices; where a terminal or a challenge outcome
+reads a value applied to arguments, shifts pick the entry out of the index.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import denote, surface, syntax
-from .denote import enumerate_lattice
+from . import denote, semantics, surface, syntax
 from .errors import GameLimitError, InternalError
 from .lts import Lts
-from .semantics import eliminate_fixpoints
 from .syntax import App, Dia, Formula, Lam, Mu, MuVec, Neg, Or, Prop, Var
 from .types import EMPTY_CONTEXT, PrType, fragment, infer, tower, uncurry
 
@@ -105,7 +103,6 @@ class _Builder:
         if not isinstance(top, PrType):
             raise ValueError("game construction needs a formula of ground type")
         self.negs: dict = {}
-        self.enums: dict = {}
         self.fv_names: dict = {}  # id(f) -> f's free variables, sorted
         self.kinds: list = []
         self.payloads: list = []
@@ -122,12 +119,10 @@ class _Builder:
             self.types[id(got)] = self.types[id(f)]
         return got
 
-    def domain(self, ty):
-        got = self.enums.get(ty)
-        if got is None:
-            got = enumerate_lattice(ty, self.lts.n, self.enum_limit)
-            self.enums[ty] = got
-        return got
+    def domain(self, ty) -> int:
+        """The size of the lattice of `ty`, whose elements are guessed or
+        picked one by one; refused past the enumeration limit."""
+        return denote.lattice_size(ty, self.lts.n, self.enum_limit)
 
     def charge(self):
         self.used += 1
@@ -174,12 +169,13 @@ class _Builder:
         self.pending.append(idx)
         return idx
 
-    def applied(self, ty, i, args):
-        """The ground value of the i-th element of `ty` applied to `args`."""
-        g = self.domain(ty)[i]
+    def applied(self, ty, i, args) -> int:
+        """The state set of the i-th element of `ty` applied to `args`."""
+        n = self.lts.n
         for a in args:
-            g = g.table[a]
-        return g
+            ty = ty.result
+            i = denote.entry_index(i, a, denote.bits(ty, n))
+        return i
 
     def build(self, start_state):
         start = self.config(start_state, (), {}, self.phi)
@@ -209,7 +205,7 @@ class _Builder:
             self.kinds[idx] = win if self.lts.has_prop(state, g.name) else lose
         elif isinstance(g, Var):
             val = self.applied(self.types[id(g)], env[g.name], stack)
-            self.kinds[idx] = win if val.mask >> state & 1 else lose
+            self.kinds[idx] = win if val >> state & 1 else lose
         elif isinstance(g, Or):
             self.kinds[idx] = owner
             self.add_edge(idx, self.config(state, (), env, wrap(g.left)))
@@ -241,7 +237,7 @@ class _Builder:
     def app_node(self, idx, state, stack, env, app, negated):
         self.kinds[idx] = EXISTS
         sigma = self.types[id(app.arg)]
-        for gi in range(len(self.domain(sigma))):
+        for gi in range(self.domain(sigma)):
             aux = self.aux(
                 FORALL,
                 ("g", state, stack, env, app, gi, negated, idx),
@@ -261,7 +257,7 @@ class _Builder:
         sigma_args = uncurry(self.types[id(app.arg)])
         picked = len(hs)
         if picked < len(sigma_args):
-            for hi in range(len(self.domain(sigma_args[picked]))):
+            for hi in range(self.domain(sigma_args[picked])):
                 hs2 = hs + (hi,)
                 succ = self.aux(
                     FORALL,
@@ -275,7 +271,7 @@ class _Builder:
     def add_challenge_outcomes(self, idx, env, app, gi, hs):
         value = self.applied(self.types[id(app.arg)], gi, hs)
         for t in range(self.lts.n):
-            if value.mask >> t & 1:
+            if value >> t & 1:
                 self.add_edge(idx, self.config(t, hs, env, app.arg))
             else:
                 self.add_edge(idx, self.config(t, hs, env, self.neg_of(app.arg)))
@@ -362,12 +358,13 @@ def topological_order(game: Game):
 def check_via_games(lts: Lts, state: int, phi: Formula,
                     game_limit: int = DEFAULT_GAME_LIMIT,
                     enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
-                    unfold_budget: int = 4096,
-                    size_budget: int = 10**6) -> bool:
+                    unfold_budget: int = semantics.DEFAULT_UNFOLD_BUDGET,
+                    size_budget: int = semantics.DEFAULT_SIZE_BUDGET) -> bool:
     """Eliminate fixpoints, build the game, solve; true iff state satisfies."""
     phi = syntax.desugar_vec(phi)
     infer(EMPTY_CONTEXT, phi)
-    fp_free = eliminate_fixpoints(phi, lts, unfold_budget, size_budget)
+    fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
+                                            size_budget)
     game = build_game(lts, state, fp_free, game_limit, enum_limit)
     return solve(game).winner == EXISTS
 

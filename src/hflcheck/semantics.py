@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import denote, syntax
-from .denote import Denotation, Func, Ground, enumerate_lattice, index_of
+from .denote import Denotation, Func, Ground, enumerate_lattice
 from .errors import (
     BoundBudgetError,
     InternalError,
@@ -240,9 +240,6 @@ class Evaluator:
         self._typed_roots: set = set()  # ids of roots typechecked as closed
         self._grounds: dict = {}  # mask -> the one Ground with that mask
         self._enums: dict = {}  # type -> tuple of its elements
-        # id(element) -> canonical index, for every enumerated Func; the
-        # tuples in _enums keep those ids from being reused.
-        self._enum_index: dict = {}
 
     # -- helpers
 
@@ -270,26 +267,30 @@ class Evaluator:
         if got is None:
             got = enumerate_lattice(ty, self.n, self.cfg.enum_limit)
             self._enums[ty] = got
-            if isinstance(ty, Arrow):
-                self._enum_index.update((id(d), i) for i, d in enumerate(got))
         return got
 
     # -- value operations
 
     def apply_value(self, f, a):
         kind = type(f)
-        if kind is Func:
-            return f.table[self._canonical(a)[0]]
-        if kind is LamClosure:
-            if f.memo is None:
-                return f.body({**f.env, f.node.var: a})
-            # The body gets the denotation, so a kept result cannot depend
-            # on later reads through a suspended argument.
-            i, a = self._canonical(a)
-            got = f.memo.get(i)
+        if kind is Func or kind is LamClosure and f.memo is not None:
+            # Applied by the argument's index.  A closure's body gets the
+            # denotation, so a kept result cannot depend on later reads
+            # through a suspended argument.
+            if type(a) is not Ground:
+                a = self.reify_value(a)
+            if kind is Func:
+                m = denote.entry_index(f.mask, a.mask, f.width)
+                r = f.ty.result
+                if type(r) is PrType:
+                    return self._grounds.get(m) or self._ground(m)
+                return Func(r, self.n, m, denote.bits(r.result, self.n))
+            got = f.memo.get(a.mask)
             if got is None:
-                got = f.memo[i] = f.body({**f.env, f.node.var: a})
+                got = f.memo[a.mask] = f.body({**f.env, f.node.var: a})
             return got
+        if kind is LamClosure:
+            return f.body({**f.env, f.node.var: a})
         if kind is NegWrap:
             return self.complement_value(self.apply_value(f.inner, a))
         if kind is FixRef:
@@ -298,16 +299,6 @@ class Evaluator:
                 return f.solver.read(f.comp, args2)
             return FixRef(f.solver, f.comp, args2)
         raise InternalError(f"applied a non-function value {f!r}")
-
-    def _canonical(self, a):
-        """The canonical index of argument `a`, and `a` as a denotation."""
-        if type(a) is Ground:
-            return a.mask, a
-        i = self._enum_index.get(id(a))
-        if i is None:
-            a = self.reify_value(a)
-            i = index_of(a)
-        return i, a
 
     def complement_value(self, v):
         if isinstance(v, Ground):
@@ -332,11 +323,12 @@ class Evaluator:
             variance = arrow.variance
         else:
             raise InternalError(f"cannot reify {v!r}")
-        entries = tuple(
-            self.reify_value(self.apply_value(v, d)) for d in self.enum(dom_ty)
-        )
-        result_ty = PrType() if isinstance(entries[0], Ground) else entries[0].ty
-        return Func(Arrow(dom_ty, variance, result_ty), self.n, entries)
+        entries = [self.reify_value(self.apply_value(v, d))
+                   for d in self.enum(dom_ty)]
+        result_ty = PrType() if type(entries[0]) is Ground else entries[0].ty
+        width = denote.bits(result_ty, self.n)
+        return Func(Arrow(dom_ty, variance, result_ty), self.n,
+                    denote.pack([e.mask for e in entries], width), width)
 
     # -- compilation
 
@@ -417,11 +409,7 @@ class Evaluator:
                     return kept[0]
             else:
                 def run(env):
-                    f = func_run(env)
-                    a = arg_run(env)
-                    if type(f) is Func and type(a) is Ground:
-                        return f.table[a.mask]
-                    return apply(f, a)
+                    return apply(func_run(env), arg_run(env))
         elif isinstance(phi, Lam):
             body = kids[0]
             if self.cfg.engine == "tabulate":
@@ -539,7 +527,7 @@ def _arrows(ty) -> list:
 def _below(args, bound, plus) -> bool:
     """`args` lies below `bound` at `plus` and equals it elsewhere."""
     return all(
-        denote.leq(a, b) if i in plus else a == b
+        a.mask & ~b.mask == 0 if i in plus else a == b
         for i, (a, b) in enumerate(zip(args, bound))
     )
 

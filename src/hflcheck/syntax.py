@@ -17,6 +17,7 @@ over it; `rebuild`, the inverse of `children`, makes the new node.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 
@@ -246,9 +247,9 @@ def children(phi: Formula):
 
 
 def rebuild(f: Formula, kids) -> Formula:
-    """A new node like `f` with children `kids`: the inverse of `children`.
-    A leaf has no children and is returned as it is."""
-    if isinstance(f, (Prop, Var)):
+    """A node like `f` with children `kids`: the inverse of `children`.
+    When every kid is already f's child, as at a leaf, that is `f` itself."""
+    if all(map(operator.is_, kids, children(f))):
         return f
     if isinstance(f, Neg):
         return Neg(kids[0])

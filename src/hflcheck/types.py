@@ -141,7 +141,7 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
     def ctx_key(ctx: Context, f: Formula):
         fvs = syntax.free_vars(f)
         entries = [(x, v, t) for x, (v, t) in ctx.items() if x in fvs]
-        return tuple(sorted(entries, key=_ctx_sort_key))
+        return tuple(sorted(entries))  # names are unique: compared alone
 
     def go(ctx: Context, f: Formula) -> HflType:
         # The memo check and the rules share one function, so each level
@@ -223,11 +223,6 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
         return ty
 
     return go(ctx, phi)
-
-
-def _ctx_sort_key(item):
-    name, variance, ty = item
-    return (name, variance.value, repr(ty))
 
 
 def typecheck(phi: Formula, ctx: Context = EMPTY_CONTEXT) -> HflType:

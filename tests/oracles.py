@@ -6,8 +6,9 @@ plain frozensets, explicit iteration, direct graph walks.
 
 from __future__ import annotations
 
-from hflcheck.denote import leq
+from hflcheck.denote import Ground, leq
 from hflcheck.syntax import Dia, Mu, Neg, Or, Prop, Var
+from hflcheck.types import PrType, full_space_cardinality
 
 
 def mu_check(lts, formula, env=None) -> frozenset:
@@ -54,6 +55,65 @@ def is_monotone(d, args) -> bool:
             if leq(args[i], args[j]) and not leq(d.table[i], d.table[j]):
                 return False
     return True
+
+
+# Lattice elements as nested tuple tables: a state set is its bitmask and
+# a function the tuple of its entries, argument index 0 first.  The
+# canonical index reads a table as a base-|result| numeral whose most
+# significant digit sits at the highest argument.
+
+
+def tuple_element_at(ty, n, i):
+    """The i-th element of the lattice of `ty` over n states."""
+    if isinstance(ty, PrType):
+        if not 0 <= i < 1 << n:
+            raise IndexError(i)
+        return i
+    dom = full_space_cardinality(ty.arg, n)
+    cod = full_space_cardinality(ty.result, n)
+    if not 0 <= i < cod**dom:
+        raise IndexError(i)
+    digits = []
+    for _ in range(dom):
+        i, d = divmod(i, cod)
+        digits.append(d)
+    return tuple(tuple_element_at(ty.result, n, d) for d in digits)
+
+
+def tuple_index_of(ty, n, t) -> int:
+    """Inverse of tuple_element_at."""
+    if isinstance(ty, PrType):
+        return t
+    cod = full_space_cardinality(ty.result, n)
+    i = 0
+    for entry in reversed(t):
+        i = i * cod + tuple_index_of(ty.result, n, entry)
+    return i
+
+
+def tuple_leq(t1, t2) -> bool:
+    if isinstance(t1, int):
+        return t1 & ~t2 == 0
+    return all(map(tuple_leq, t1, t2))
+
+
+def tuple_complement(t, n):
+    if isinstance(t, int):
+        return t ^ ((1 << n) - 1)
+    return tuple(tuple_complement(e, n) for e in t)
+
+
+def tuple_join(t1, t2):
+    if isinstance(t1, int):
+        return t1 | t2
+    return tuple(map(tuple_join, t1, t2))
+
+
+def as_tuple(d):
+    """A denotation as a tuple table, read through `Func.table`."""
+    if isinstance(d, Ground):
+        return d.mask
+    return tuple(as_tuple(e) for e in d.table)
 
 
 def underflow_word(word) -> bool:

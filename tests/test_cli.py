@@ -51,6 +51,26 @@ def test_check_engines_agree(files):
         assert len(set(codes.values())) == 1
 
 
+def test_check_typechecks_once(files, monkeypatch):
+    from hflcheck import semantics, types
+
+    _, chain, reach, _, _ = files
+    calls = []
+    real = types.infer
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(types, "infer", counting)
+    monkeypatch.setattr(semantics, "infer", counting)
+    for engine in ("naive", "demand"):
+        calls.clear()
+        assert main(["check", "--lts", str(chain), "--formula", str(reach),
+                     "--state", "0", "--engine", engine]) == 0
+        assert len(calls) == 1
+
+
 def test_check_json_deterministic(files, capsys):
     _, chain, reach, _, _ = files
     args = ["check", "--lts", str(chain), "--formula", str(reach),
@@ -176,6 +196,22 @@ def test_atm_compile_labeled_variant(files, capsys, tmp_path):
     code = main(["check", "--lts", f"{base}.lts", "--formula", f"{base}.hfl",
                  "--state", "0"])
     assert code == 1  # cell0 rejects a word starting with ff
+
+
+def test_elim_game_enum_limit_refusal_is_exit_2(tmp_path, capsys):
+    # The guessed argument has type Pr -> Pr: 4**4 = 256 tables over two
+    # states, so the check is refused below that limit and decided at it.
+    cycle = tmp_path / "cycle.lts"
+    cycle.write_text("states 2\nlabel 0 q\ntrans 0 a 1\ntrans 1 a 0\n")
+    phi = tmp_path / "apply.hfl"
+    phi.write_text("(\\(F:Pr -> Pr). F q) (\\(Y:Pr). <a> Y)\n")
+    args = ["check", "--lts", str(cycle), "--formula", str(phi),
+            "--state", "1", "--engine", "elim-game", "--enum-limit"]
+    assert main(args + ["255"]) == 2
+    err = capsys.readouterr().err
+    assert "error[EnumLimitError]: lattice has 256 elements, over limit 255" in err
+    assert main(args + ["256"]) == 0
+    assert main(args[:-2] + ["demand"]) == 0
 
 
 def test_game_dump_formats(files, tmp_path, capsys):

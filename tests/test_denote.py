@@ -14,17 +14,22 @@ from hflcheck.denote import (
     enumerate_lattice,
     full,
     index_of,
+    join,
     leq,
     number_repr,
     top,
 )
 from hflcheck.errors import EnumLimitError
+from hflcheck.lts import gen_chain
+from hflcheck.semantics import EvalConfig, Evaluator
+from hflcheck.syntax import Dia, Lam, Neg, Or, Var
 from hflcheck.types import (
     PR,
     Arrow,
     Variance,
     big_f,
     chain_type,
+    format_type,
     full_space_height,
     height_bound,
     lattice_size_bound,
@@ -171,3 +176,52 @@ def test_bottom_top():
     assert index_of(b) == 0
     t = top(chain_type(2), 1)
     assert index_of(t) == cardinality(chain_type(2), 1) - 1
+
+
+LAYOUT_TYPES = (PR, FUN, Arrow(PR, Z, FUN), Arrow(FUN, Z, PR))
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("ty", LAYOUT_TYPES, ids=format_type)
+def test_bit_layout_matches_tuple_tables(ty, n):
+    # Every element and pair of a lattice of at most 256 elements; the two
+    # larger lattices (2**32 and 2**512 elements at n = 2) are sampled.
+    size = cardinality(ty, n)
+    rng = random.Random(size)
+    if size <= 256:
+        indices = list(range(size))
+        pairs = [(a, b) for a in indices for b in indices]
+    else:
+        indices = [0, size - 1] + [rng.randrange(size) for _ in range(98)]
+        pairs = [(rng.choice(indices), rng.choice(indices)) for _ in range(400)]
+    elems = {i: element_at(ty, n, i) for i in indices}
+    refs = {i: oracles.tuple_element_at(ty, n, i) for i in indices}
+    for i in indices:
+        d, ref = elems[i], refs[i]
+        assert index_of(d) == oracles.tuple_index_of(ty, n, ref) == i
+        assert oracles.as_tuple(d) == ref
+        assert oracles.as_tuple(complement(d)) == oracles.tuple_complement(ref, n)
+    for a, b in pairs:
+        assert leq(elems[a], elems[b]) == oracles.tuple_leq(refs[a], refs[b])
+        want = oracles.tuple_join(refs[a], refs[b])
+        assert index_of(join(elems[a], elems[b])) == oracles.tuple_index_of(ty, n, want)
+    assert oracles.as_tuple(bottom(ty, n)) == oracles.tuple_element_at(ty, n, 0)
+    assert oracles.as_tuple(top(ty, n)) == oracles.tuple_element_at(ty, n, size - 1)
+    for i in (-1, size):
+        with pytest.raises(IndexError):
+            element_at(ty, n, i)
+        with pytest.raises(IndexError):
+            oracles.tuple_element_at(ty, n, i)
+
+
+def test_large_table_entries_match_direct_evaluation():
+    # Pr over 16 states has 65,536 elements, so each table is a
+    # 1,048,576-bit mask.
+    lts = gen_chain(16)
+    body = Or(Dia("a", Var("X")), Neg(Var("X")))
+    want = [oracles.mu_check(lts, body, {"X": frozenset(Ground(16, i).states())})
+            for i in range(1 << 16)]
+    for engine in ("demand", "tabulate"):
+        ev = Evaluator(lts, EvalConfig(engine=engine))
+        table = ev.denotation(Lam("X", Z, PR, body))
+        assert [set(e.states()) for e in table.table] == want

@@ -242,6 +242,9 @@ def test_tape0_spells_out_word():
     lts2 = gen_counter_lts(2)
     tp2 = tape_formulas(0, 2, (True,))
     assert evaluate(lts2, tp2.tape0) == encode_tape((True, False, False, False), 0, 2)
+    # a tape has one cell per element of its position type
+    with pytest.raises(ValueError):
+        encode_tape((True, False, False), 0, 2)
 
 
 def test_tape0_rejects_long_word():

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from hflcheck.encodings import chi_formula, counter_formula
-from hflcheck.errors import BudgetError, GameLimitError
+from hflcheck.errors import BudgetError, EnumLimitError, GameLimitError
 from hflcheck.games import (
     EXISTS,
     FORALL,
@@ -94,6 +94,19 @@ def test_game_limit_carries_estimate():
     with pytest.raises(GameLimitError) as err:
         build_game(lts, 0, phi, limit=3)
     assert err.value.estimate >= err.value.limit
+
+
+def test_guess_domain_past_enum_limit_is_refused():
+    # The guessed argument has type Pr -> Pr: 4**4 = 256 tables over two
+    # states, so the builder refuses below that limit and builds at it.
+    lts = make_lts(2, [(0, "a", 1), (1, "a", 0)], [(0, "q")])
+    phi = App(Lam("F", Z, Arrow(PR, Z, PR), App(Var("F"), Prop("q"))),
+              Lam("X", Z, PR, Dia("a", Var("X"))))
+    with pytest.raises(EnumLimitError) as err:
+        build_game(lts, 0, phi, enum_limit=255)
+    assert (err.value.cardinality, err.value.limit) == (256, 255)
+    assert solve(build_game(lts, 0, phi, enum_limit=256)).winner == FORALL
+    assert solve(build_game(lts, 1, phi, enum_limit=256)).winner == EXISTS
 
 
 def test_check_via_games_examples():
@@ -238,11 +251,13 @@ def test_export_json_deterministic():
 @pytest.mark.parametrize("name,i,j,nodes,edges,winner", [
     ("eq", 0, 3, 367, 500, FORALL),
     ("gt", 1, 3, 1_153, 1_847, FORALL),
-    ("exists", None, None, 108_253, 224_207, EXISTS),
+    ("exists", None, None, 108_251, 224_204, EXISTS),
 ], ids=["eq(0,3)", "gt(1,3)", "exists(eq max)"])
 def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner):
     # A builder that builds a different game may still reach the right
     # verdict, so the sizes of a few counter-corpus games are pinned too.
+    # Configurations are keyed by node identity, so the sizes also pin how
+    # the eliminated formula shares its subformulas.
     p = 2
     lts = gen_counter_lts(p)
     if i is None:

@@ -157,6 +157,12 @@ def test_approximant_converges_at_height():
 def test_eliminate_identity_on_fixpoint_free():
     phi = Or(Prop("q"), Dia("a", Neg(Prop("p"))))
     assert eliminate_fixpoints(phi, gen_chain(2)) == phi
+    assert eliminate_fixpoints(phi, gen_chain(2)) is phi
+    # Only the fixpoint's ancestors are rebuilt.
+    lam = Lam("Y", Z, PR, Or(Var("Y"), Prop("q")))
+    phi = Or(App(lam, Prop("p")), Mu("X", PR, Dia("a", Var("X"))))
+    got = eliminate_fixpoints(phi, gen_chain(2))
+    assert got is not phi and got.left is phi.left
 
 
 def test_eliminate_mu_identity_n1():
@@ -276,7 +282,8 @@ def test_closed_table_is_computed_once_per_evaluator():
     assert len(closure.memo) == 256
     again = ev.denotation(APPLY_TO_Q)
     assert len(closure.memo) == 256
-    assert all(again.table[i] is closure.memo[i] for i in range(256))
+    assert again == table
+    assert again.table == tuple(closure.memo[i] for i in range(256))
 
     other_ev = Evaluator(lts)
     other = other_ev.eval_closed(APPLY_TO_Q)
@@ -286,9 +293,9 @@ def test_closed_table_is_computed_once_per_evaluator():
     assert len(other.memo) == 256
 
 
-def test_func_application_by_identity_matches_index_of():
-    # Enumerated arguments are looked up by identity; an equal argument
-    # built elsewhere goes through index_of and must land on the same entry,
+def test_func_application_by_index_matches_element_at():
+    # An argument is applied by its index, so an equal argument built
+    # elsewhere than the evaluator's enumeration lands on the same entry,
     # both in a table and in a closure's memo.
     lts = make_lts(2, [(0, "a", 1), (1, "a", 0)], [(1, "q")])
     ev = Evaluator(lts)
@@ -299,8 +306,8 @@ def test_func_application_by_identity_matches_index_of():
     for i, elem in enumerate(elems):
         rebuilt = element_at(FUN, lts.n, i)
         assert rebuilt == elem and rebuilt is not elem
-        assert ev.apply_value(table, elem) is table.table[i]
-        assert ev.apply_value(table, rebuilt) is table.table[i]
+        assert ev.apply_value(table, elem) == table.table[i]
+        assert ev.apply_value(table, rebuilt) == table.table[i]
         assert ev.apply_value(closure, rebuilt) is closure.memo[i]
         assert table.table[i] == elem.table[ev.denotation(Dia("a", Prop("q"))).mask]
 

@@ -190,6 +190,7 @@ def test_desugar_two_bindings_worked_example():
 def test_desugar_identity_without_vectors():
     phi = Or(Prop("q"), Mu("X", PR, Var("X")))
     assert desugar_vec(phi) == phi
+    assert desugar_vec(phi) is phi
 
 
 def test_desugar_matches_native_evaluation():
