@@ -14,10 +14,13 @@ the graph is a DAG and backward induction solves it in one pass.
 
 Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
-canonical index, which is also its encoding (see `denote`).  Configurations
-are keyed by the state, the argument stack and the values of the formula's
-free variables as such indices; where a terminal or a challenge outcome
-reads a value applied to arguments, shifts pick the entry out of the index.
+canonical index, which is also its encoding (see `denote`); shifts pick a
+value's entry at some arguments out of the index.  Only configurations are
+hash-consed, keyed by the state, the argument stack and the values of the
+formula's free variables; guess and pick nodes are made once, by their
+parent.  A challenge's outcomes depend on the guess only through its entry
+at the picked arguments, so each application node shares one outcome list
+among all guesses that agree there.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ DEFAULT_GAME_LIMIT = 10**7
 
 @dataclass
 class Game:
+    """Node u has kind kinds[u], label data payloads[u] and successors
+    edges[u].  Edge lists are read-only: nodes may share one list (every
+    terminal, and the challenge leaves with equal outcomes)."""
+
     kinds: list
     payloads: list
     edges: list
@@ -83,8 +90,7 @@ def size_bound_for(phi: Formula, lts: Lts) -> int:
     return game_size_bound(lts.n, size, k, m, v)
 
 
-def _unchanged(f: Formula) -> Formula:
-    return f
+_GUESS = ("guess",)
 
 
 class _Builder:
@@ -103,178 +109,202 @@ class _Builder:
         if not isinstance(top, PrType):
             raise ValueError("game construction needs a formula of ground type")
         self.negs: dict = {}
-        self.fv_names: dict = {}  # id(f) -> f's free variables, sorted
+        self.moves: dict = {}  # id(f) -> how f's configurations move, and f
         self.kinds: list = []
         self.payloads: list = []
         self.edges: list = []
-        self.index: dict = {}
-        self.pending: list = []
+        self.index: dict = {}  # configuration key -> node
+        self.pending: list = []  # configuration nodes, guess and pick items
         self.used = 0
+        self.no_moves: list = []
 
-    def neg_of(self, f: Formula) -> Formula:
-        got = self.negs.get(id(f))
-        if got is None:
-            got = Neg(f)
-            self.negs[id(f)] = got
-            self.types[id(got)] = self.types[id(f)]
-        return got
+    def target(self, f: Formula, negate=False) -> tuple:
+        """f, negated if asked (one Neg per f), and its sorted free names."""
+        if negate:
+            if id(f) not in self.negs:
+                self.negs[id(f)] = Neg(f)
+            f = self.negs[id(f)]
+        return f, tuple(sorted(f.fv))
 
-    def domain(self, ty) -> int:
-        """The size of the lattice of `ty`, whose elements are guessed or
-        picked one by one; refused past the enumeration limit."""
-        return denote.lattice_size(ty, self.lts.n, self.enum_limit)
-
-    def charge(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise GameLimitError(self.used, self.limit,
-                                 size_bound_for(self.phi, self.lts))
-
-    def new_node(self, kind, payload, key):
-        idx = len(self.kinds)
-        self.kinds.append(kind)
-        self.payloads.append(payload)
-        self.edges.append([])
-        self.index[key] = idx
-        self.charge()
-        return idx
-
-    def add_edge(self, u, v):
-        self.edges[u].append(v)
-        self.charge()
-
-    def config(self, state, stack, env, f):
-        """The node for `state` in f applied to `stack` under `env`.
-
-        `stack` is a tuple of argument indices and `env` maps variable
-        names to indices; the key holds only f's free variables.
-        """
-        names = self.fv_names.get(id(f))
-        if names is None:
-            names = tuple(sorted(syntax.free_vars(f)))
-            self.fv_names[id(f)] = names
-        key = ("c", state, stack, tuple([env[x] for x in names]), id(f))
-        got = self.index.get(key)
-        if got is not None:
-            return got
-        idx = self.new_node(None, ("config", state, stack, env, f), key)
-        self.pending.append(idx)
-        return idx
-
-    def aux(self, kind, payload, key):
-        got = self.index.get(key)
-        if got is not None:
-            return got
-        idx = self.new_node(kind, payload, key)
-        self.pending.append(idx)
-        return idx
-
-    def applied(self, ty, i, args) -> int:
-        """The state set of the i-th element of `ty` applied to `args`."""
-        n = self.lts.n
-        for a in args:
+    def widths(self, ty) -> tuple:
+        """The entry widths of ty's successive results, with which
+        `denote.entry_index` reads a value applied to arguments."""
+        out = []
+        for _ in uncurry(ty):
             ty = ty.result
-            i = denote.entry_index(i, a, denote.bits(ty, n))
-        return i
+            out.append(denote.bits(ty, self.lts.n))
+        return tuple(out)
 
-    def build(self, start_state):
-        start = self.config(start_state, (), {}, self.phi)
-        while self.pending:
-            idx = self.pending.pop()
-            payload = self.payloads[idx]
-            if payload[0] == "config":
-                self.expand_config(idx, payload)
-            elif payload[0] == "g":
-                self.expand_guess(idx, payload)
-            else:
-                self.expand_challenge(idx, payload)
-        return Game(self.kinds, self.payloads, self.edges, start, self.lts)
+    def compile(self, f: Formula) -> tuple:
+        """How configurations of f move: a tag, its data, and f itself.
 
-    def expand_config(self, idx, payload):
-        _, state, stack, env, f = payload
+        An application's data: the targets of its function, argument and
+        negated argument, its guess and pick domain sizes, the argument's
+        entry widths and the pick payloads.  Domains are sized at the first
+        expansion; each pick lattice is smaller than the guessed one, so
+        it is refused only where the guess domain already is.
+        """
         # A negated configuration moves like its body, with the players'
         # roles swapped and every successor negated.
-        negated = isinstance(f, Neg)
-        if negated:
-            g = f.body
-            owner, win, lose, wrap = FORALL, WIN_A, WIN_E, self.neg_of
-        else:
-            g = f
-            owner, win, lose, wrap = EXISTS, WIN_E, WIN_A, _unchanged
+        neg = isinstance(f, Neg)
+        g = f.body if neg else f
+        owner, win, lose = (FORALL, WIN_A, WIN_E) if neg else (EXISTS, WIN_E, WIN_A)
         if isinstance(g, Prop):
-            self.kinds[idx] = win if self.lts.has_prop(state, g.name) else lose
-        elif isinstance(g, Var):
-            val = self.applied(self.types[id(g)], env[g.name], stack)
-            self.kinds[idx] = win if val >> state & 1 else lose
-        elif isinstance(g, Or):
-            self.kinds[idx] = owner
-            self.add_edge(idx, self.config(state, (), env, wrap(g.left)))
-            self.add_edge(idx, self.config(state, (), env, wrap(g.right)))
-        elif isinstance(g, Dia):
-            succs = self.lts.successors(state, g.action)
-            if not succs:
-                self.kinds[idx] = lose
+            return "prop", tuple([win if self.lts.has_prop(s, g.name)
+                                  else lose for s in range(self.lts.n)]), f
+        if isinstance(g, Var):
+            return "var", (g.name, self.widths(self.types[id(g)]), win, lose), f
+        if isinstance(g, Or):
+            return "or", (owner, self.target(g.left, neg),
+                          self.target(g.right, neg)), f
+        if isinstance(g, Dia):
+            return "dia", (owner, lose, g.action, self.target(g.body, neg)), f
+        if isinstance(g, Lam):
+            return "lam", (g.var, self.target(g.body, neg)), f
+        if isinstance(g, App):
+            sigma = self.types[id(g.arg)]
+            sizes = [denote.lattice_size(ty, self.lts.n, self.enum_limit)
+                     for ty in [sigma] + uncurry(sigma)]
+            return "app", (self.target(g.func, neg), self.target(g.arg),
+                           self.target(g.arg, True), sizes, self.widths(sigma),
+                           tuple([("pick", k) for k in range(len(sizes))])), f
+        if isinstance(g, Neg):  # f is Neg(Neg x): one edge to x
+            return "neg", self.target(g.body), f
+        raise InternalError(f"unhandled formula {f!r}")
+
+    def charge(self, count):
+        """Count `count` more nodes plus edges; refused past the limit.
+        Each step charges what it adds at once (the hottest inline this),
+        before it makes a domain's worth of nodes: it refuses in the step,
+        and with the count, where counting one by one would."""
+        self.used += count
+        if self.used > self.limit:
+            raise GameLimitError(self.limit + 1, self.limit,
+                                 size_bound_for(self.phi, self.lts))
+
+    def fan(self, idx, payload, count) -> int:
+        """Give idx `count` new opponent successors; the first's index."""
+        self.charge(2 * count)
+        first = len(self.kinds)
+        self.kinds.extend([FORALL] * count)
+        self.payloads.extend([payload] * count)
+        self.edges.extend([None] * count)
+        self.edges[idx] = list(range(first, first + count))
+        return first
+
+    def config(self, state, stack, env, target):
+        """The node for `state` in f applied to `stack` under `env`.
+
+        `target` is f with its sorted free variables, `stack` a tuple of
+        argument indices and `env` maps variable names to indices; the
+        key holds only f's free variables.
+        """
+        f, names = target
+        key = (state, stack, tuple([env[x] for x in names]), id(f))
+        got = self.index.get(key)
+        if got is None:
+            got = self.index[key] = len(self.kinds)
+            self.kinds.append(None)
+            self.payloads.append(("config", state, stack, env, f))
+            self.edges.append(None)
+            self.used += 1
+            self.pending.append(got)
+        return got
+
+    def build(self, start_state):
+        start = self.config(start_state, (), {}, (self.phi, ()))
+        self.charge(0)
+        pending = self.pending
+        while pending:
+            item = pending.pop()
+            if type(item) is int:
+                self.expand_config(item)
+            elif len(item) == 3:
+                self.expand_guess(*item)
             else:
-                self.kinds[idx] = owner
-                body = wrap(g.body)
-                for t in succs:
-                    self.add_edge(idx, self.config(t, (), env, body))
-        elif isinstance(g, Lam):
-            self.kinds[idx] = EXISTS
+                self.expand_pick(*item)
+        return Game(self.kinds, self.payloads, self.edges, start, self.lts)
+
+    def expand_config(self, idx):
+        _, state, stack, env, f = self.payloads[idx]
+        entry = self.moves.get(id(f))
+        if entry is None:
+            entry = self.moves[id(f)] = self.compile(f)
+        tag, data, _ = entry
+        config = self.config
+        if tag == "prop":
+            kind, out = data[state], self.no_moves
+        elif tag == "var":
+            name, widths, win, lose = data
+            val = env[name]
+            for a, w in zip(stack, widths):
+                val = denote.entry_index(val, a, w)
+            kind, out = (win if val >> state & 1 else lose), self.no_moves
+        elif tag == "or":
+            kind = data[0]
+            out = [config(state, (), env, data[1]),
+                   config(state, (), env, data[2])]
+        elif tag == "dia":
+            succs = self.lts.successors(state, data[2])
+            kind = data[0] if succs else data[1]
+            out = [config(t, (), env, data[3]) for t in succs] or self.no_moves
+        elif tag == "lam":
             env2 = dict(env)
-            env2[g.var] = stack[0]
-            self.add_edge(
-                idx, self.config(state, stack[1:], env2, wrap(g.body))
-            )
-        elif isinstance(g, App):
-            self.app_node(idx, state, stack, env, g, negated)
-        elif isinstance(g, Neg):  # f is Neg(Neg x): one edge to x
+            env2[data[0]] = stack[0]
+            kind, out = EXISTS, [config(state, stack[1:], env2, data[1])]
+        elif tag == "neg":
+            kind, out = EXISTS, [config(state, stack, env, data)]
+        else:  # an application: the proponent guesses the argument
             self.kinds[idx] = EXISTS
-            self.add_edge(idx, self.config(state, stack, env, g.body))
-        else:
-            raise InternalError(f"unhandled formula {f!r}")
-
-    def app_node(self, idx, state, stack, env, app, negated):
-        self.kinds[idx] = EXISTS
-        sigma = self.types[id(app.arg)]
-        for gi in range(self.domain(sigma)):
-            aux = self.aux(
-                FORALL,
-                ("g", state, stack, env, app, gi, negated, idx),
-                ("g", idx, gi),
-            )
-            self.add_edge(idx, aux)
-
-    def expand_guess(self, idx, payload):
-        _, state, stack, env, app, gi, negated, _parent = payload
-        func = self.neg_of(app.func) if negated else app.func
-        self.add_edge(idx, self.config(state, (gi,) + stack, env, func))
-        entry = self.aux(FORALL, ("h", env, app, gi, (), idx), ("h", idx, ()))
-        self.add_edge(idx, entry)
-
-    def expand_challenge(self, idx, payload):
-        _, env, app, gi, hs, guess_idx = payload
-        sigma_args = uncurry(self.types[id(app.arg)])
-        picked = len(hs)
-        if picked < len(sigma_args):
-            for hi in range(self.domain(sigma_args[picked])):
-                hs2 = hs + (hi,)
-                succ = self.aux(
-                    FORALL,
-                    ("h", env, app, gi, hs2, guess_idx),
-                    ("h", guess_idx, hs2),
-                )
-                self.add_edge(idx, succ)
+            count = data[3][0]
+            first = self.fan(idx, _GUESS, count)
+            work = (state, stack, env, data, {})
+            self.pending.extend([(work, gi, first + gi) for gi in range(count)])
             return
-        self.add_challenge_outcomes(idx, env, app, gi, hs)
+        self.kinds[idx] = kind
+        self.edges[idx] = out
+        self.charge(len(out))
 
-    def add_challenge_outcomes(self, idx, env, app, gi, hs):
-        value = self.applied(self.types[id(app.arg)], gi, hs)
-        for t in range(self.lts.n):
-            if value >> t & 1:
-                self.add_edge(idx, self.config(t, hs, env, app.arg))
-            else:
-                self.add_edge(idx, self.config(t, hs, env, self.neg_of(app.arg)))
+    def expand_guess(self, work, gi, idx):
+        """The opponent pushes guess gi onto the function's stack, or
+        starts to challenge it."""
+        state, stack, env, app, _ = work
+        out = [self.config(state, (gi,) + stack, env, app[0])]  # function
+        root = len(self.kinds)
+        self.kinds.append(FORALL)
+        self.payloads.append(app[5][0])  # ("pick", 0)
+        self.edges.append(None)
+        self.pending.append((work, gi, (), root))
+        out.append(root)
+        self.edges[idx] = out
+        self.used += 3
+        if self.used > self.limit:
+            self.charge(0)
+
+    def expand_pick(self, work, gi, hs, idx):
+        """The opponent picks the next challenge argument or, all picked,
+        a state and whether the guessed value holds there."""
+        _, _, env, app, outcomes = work
+        _, arg, negarg, sizes, widths, picks = app
+        k = len(hs) + 1
+        if k < len(sizes):
+            first = self.fan(idx, picks[k], sizes[k])
+            self.pending.extend([(work, gi, hs + (hi,), first + hi)
+                                 for hi in range(sizes[k])])
+            return
+        # The outcomes depend on the guess only through its value at hs,
+        # so every guess that agrees there shares one list of them.
+        for a, w in zip(hs, widths):
+            gi = denote.entry_index(gi, a, w)
+        out = outcomes.get((hs, gi))
+        if out is None:
+            out = outcomes[hs, gi] = [
+                self.config(t, hs, env, arg if gi >> t & 1 else negarg)
+                for t in range(self.lts.n)]
+        self.edges[idx] = out
+        self.used += len(out)
+        if self.used > self.limit:
+            self.charge(0)
 
 
 def build_game(lts: Lts, start_state: int, phi: Formula,
@@ -282,9 +312,7 @@ def build_game(lts: Lts, start_state: int, phi: Formula,
                enum_limit: int = denote.DEFAULT_ENUM_LIMIT) -> Game:
     """The model-checking game for a closed, fixpoint-free ground formula.
 
-    Configurations are hash-consed so shared subformulas share subgames;
-    their keys hold canonical lattice indices (positions in each type's
-    enumeration) for the argument stack and the free variables' values.
+    Configurations are hash-consed so shared subformulas share subgames.
     Construction counts nodes plus edges as it goes and stops with the
     closed-form estimate attached once the count passes `limit`.
     """
@@ -374,6 +402,8 @@ def check_via_games(lts: Lts, state: int, phi: Formula,
 
 
 def _node_label(game: Game, u: int) -> str:
+    """Node u's label, read off its payload: ("config", state, stack, env,
+    f) for a configuration, the shared ("guess",) or ("pick", k) else."""
     payload = game.payloads[u]
     if payload[0] == "config":
         _, state, stack, _env, f = payload
@@ -383,9 +413,9 @@ def _node_label(game: Game, u: int) -> str:
         if stack:
             return f"{state} ({len(stack)} args) |- {text}"
         return f"{state} |- {text}"
-    if payload[0] == "g":
+    if payload[0] == "guess":
         return "guess"
-    return f"pick {len(payload[4])}"
+    return f"pick {payload[1]}"
 
 
 def export_game(game: Game, fmt: str, solution: Solution | None = None) -> str:

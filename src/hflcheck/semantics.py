@@ -325,8 +325,11 @@ class Evaluator:
             raise InternalError(f"cannot reify {v!r}")
         entries = [self.reify_value(self.apply_value(v, d))
                    for d in self.enum(dom_ty)]
-        result_ty = PrType() if type(entries[0]) is Ground else entries[0].ty
-        width = denote.bits(result_ty, self.n)
+        if type(entries[0]) is Ground:
+            result_ty, width = PrType(), self.n
+        else:
+            result_ty = entries[0].ty
+            width = denote.bits(result_ty, self.n)
         return Func(Arrow(dom_ty, variance, result_ty), self.n,
                     denote.pack([e.mask for e in entries], width), width)
 

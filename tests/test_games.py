@@ -1,6 +1,7 @@
 """Game construction, solving, exports, and the checking pipeline."""
 
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -88,12 +89,21 @@ def test_game_requires_fixpoint_free_ground():
 
 
 def test_game_limit_carries_estimate():
+    # Guessing a Pr -> Pr table over two states takes 256 guesses, each
+    # challenged at 4 arguments; 1,008 of the 1,024 challenge leaves reuse
+    # the outcome list of an earlier guess that agrees there.  The count
+    # passes limits 623, 624 and 626 on reused edges, within a run of such
+    # leaves, and reused edges count like new ones up to the last move.
     lts = make_lts(2, [(0, "a", 1), (1, "a", 0)], [(0, "q")])
     phi = App(Lam("F", Z, Arrow(PR, Z, PR), App(Var("F"), Prop("q"))),
               Lam("X", Z, PR, Dia("a", Var("X"))))
-    with pytest.raises(GameLimitError) as err:
-        build_game(lts, 0, phi, limit=3)
-    assert err.value.estimate >= err.value.limit
+    for limit in (0, 1, 3, 7, 100, 623, 624, 626, 14_420):
+        with pytest.raises(GameLimitError) as err:
+            build_game(lts, 0, phi, limit=limit)
+        assert err.value.actual == limit + 1
+        assert err.value.estimate >= err.value.limit == limit
+    game = build_game(lts, 0, phi, limit=14_421)
+    assert (game.node_count, game.edge_count) == (5_173, 9_248)
 
 
 def test_guess_domain_past_enum_limit_is_refused():
@@ -248,6 +258,24 @@ def test_export_json_deterministic():
     assert one == two
 
 
+def _counter_corpus_game(name, i=None, j=None, p=2):
+    """The counter model and the eliminated formula of a corpus entry:
+    `name` of numerals i and j, or `name` (exists or forall) over the
+    `eq ... max` predicate."""
+    lts = gen_counter_lts(p)
+    if i is None:
+        pred = Lam("W", Z, PR, apply_all(counter_formula("eq", 0, p),
+                                         Var("W"),
+                                         counter_formula("max", 0, p)))
+        phi = App(counter_formula(name, 0, p), pred)
+    else:
+        phi = apply_all(counter_formula(name, 0, p), chi_formula(i, 0, p),
+                        chi_formula(j, 0, p))
+    flat = desugar_vec(phi)
+    typecheck(flat)
+    return lts, eliminate_fixpoints(flat, lts)
+
+
 @pytest.mark.parametrize("name,i,j,nodes,edges,winner", [
     ("eq", 0, 3, 367, 500, FORALL),
     ("gt", 1, 3, 1_153, 1_847, FORALL),
@@ -258,20 +286,34 @@ def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner):
     # verdict, so the sizes of a few counter-corpus games are pinned too.
     # Configurations are keyed by node identity, so the sizes also pin how
     # the eliminated formula shares its subformulas.
-    p = 2
-    lts = gen_counter_lts(p)
-    if i is None:
-        pred = Lam("W", Z, PR, apply_all(counter_formula("eq", 0, p),
-                                         Var("W"),
-                                         counter_formula("max", 0, p)))
-        phi = App(counter_formula("exists", 0, p), pred)
-    else:
-        phi = apply_all(counter_formula(name, 0, p), chi_formula(i, 0, p),
-                        chi_formula(j, 0, p))
-    flat = desugar_vec(phi)
-    typecheck(flat)
-    fp_free = eliminate_fixpoints(flat, lts)
-    for state in range(p):
+    lts, fp_free = _counter_corpus_game(name, i, j)
+    for state in range(lts.n):
         game = build_game(lts, state, fp_free)
         assert (game.node_count, game.edge_count) == (nodes, edges)
         assert solve(game).winner == winner
+
+
+def test_forall_eq_max_game_size_is_pinned():
+    # The corpus game in which guesses share challenge outcomes the most.
+    lts, fp_free = _counter_corpus_game("forall")
+    game = build_game(lts, 0, fp_free)
+    assert (game.node_count, game.edge_count) == (508_123, 1_209_548)
+    assert solve(game).winner == FORALL
+
+
+@pytest.mark.parametrize("name,i,j,digests", [
+    ("eq", 0, 3, ("db3caa33a005e1a4578fa04c7d8038347bbf64e6697ceeb58ffd94577cfc26fc",
+                  "fb0cee972a167f868495591b65ffe05a38b74702d728b5c690e65f04596f18fb")),
+    ("gt", 1, 3, ("ecd2ddd11b0822909924968679d2e96ca48e5b3a2f01eb73070cd5ded5db73c8",
+                  "f7ab6203cd50405b311a2b0e2b84c640589da69569502aa27ac5b649e8932d1e")),
+], ids=["eq(0,3)", "gt(1,3)"])
+def test_counter_corpus_game_exports_are_pinned(name, i, j, digests):
+    # Equal sizes do not make equal games: the digests pin every node's
+    # number, kind and label, every edge in order, the start and the
+    # winners, as exported for each state.
+    lts, fp_free = _counter_corpus_game(name, i, j)
+    for state, digest in enumerate(digests):
+        game = build_game(lts, state, fp_free)
+        text = export_game(game, "json", solve(game))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
