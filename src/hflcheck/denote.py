@@ -60,10 +60,6 @@ def full(n: int) -> Ground:
     return Ground(n, (1 << n) - 1)
 
 
-def empty(n: int) -> Ground:
-    return Ground(n, 0)
-
-
 def cardinality(ty: HflType, n: int) -> int:
     return full_space_cardinality(ty, n)
 
@@ -75,10 +71,6 @@ def bits(ty: HflType, n: int) -> int:
 
 def bottom(ty: HflType, n: int) -> Denotation:
     return element_at(ty, n, 0)
-
-
-def top(ty: HflType, n: int) -> Denotation:
-    return element_at(ty, n, cardinality(ty, n) - 1)
 
 
 def leq(d1: Denotation, d2: Denotation) -> bool:
@@ -95,10 +87,6 @@ def leq(d1: Denotation, d2: Denotation) -> bool:
 def complement(d: Denotation) -> Denotation:
     ty = d.ty if type(d) is Func else PrType()
     return replace(d, mask=d.mask ^ cardinality(ty, d.n) - 1)
-
-
-def join(d1: Denotation, d2: Denotation) -> Denotation:
-    return replace(d1, mask=d1.mask | d2.mask)
 
 
 def element_at(ty: HflType, n: int, i: int) -> Denotation:

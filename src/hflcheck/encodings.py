@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .denote import Denotation, Func, pack
 from .errors import AtmFormatError, SpaceBoundError
 from .syntax import (
     App,
@@ -39,11 +38,10 @@ from .syntax import (
     ff,
     iff,
     implies,
-    nu,
     or_all,
     tt,
 )
-from .types import PR, Arrow, Variance, big_f, chain_type
+from .types import PR, Arrow, Variance, chain_type
 
 ZERO = Variance.ZERO
 PLUS = Variance.PLUS
@@ -228,33 +226,18 @@ def macro_if(guard: Formula, then: Formula, other: Formula) -> Formula:
     return Or(and_(guard, then), and_(Neg(guard), other))
 
 
-def macro_case(k: int, p: int, pairs, default: Formula,
-               literal: bool = False) -> Formula:
+def macro_case(k: int, p: int, pairs, default: Formula) -> Formula:
     """Case distinction over level-k numbers.
 
-    `pairs` holds (guard value, body) formulas.  The default form chains
+    `pairs` holds (guard value, body) formulas.  The result chains
     if-then-else over equality guards and meets the contract "body of the
     matching guard, else default" whenever guards denote pairwise distinct
-    representations.  The `literal` form is the flat two-disjunct shape,
-    kept for fidelity experiments; it deviates from the contract when a
-    matched body is false and the default is not.
+    representations.
     """
-    pairs = tuple(pairs)
     eqk = counter_formula("eq", k, p)
     arg = Var("I")
-    if literal:
-        if not pairs:
-            raise ValueError("literal case needs at least one branch")
-        hits = or_all([
-            and_(apply_all(eqk, arg, guard), body) for guard, body in pairs
-        ])
-        misses = and_all([
-            Or(Neg(apply_all(eqk, arg, guard)), Neg(body))
-            for guard, body in pairs
-        ])
-        return _lam("I", chain_type(k), Or(hits, and_(default, misses)))
     body = default
-    for guard, branch in reversed(pairs):
+    for guard, branch in reversed(tuple(pairs)):
         body = macro_if(apply_all(eqk, arg, guard), branch, body)
     return _lam("I", chain_type(k), body)
 
@@ -548,16 +531,6 @@ def machine_formula(atm: Atm, k: int, p: int, word=None) -> Formula:
     return apply_all(system, tape, tp.head0)
 
 
-def encode_tape(cells, k: int, p: int) -> Denotation:
-    """The denotation of a concrete tape: position h maps to S iff cell h."""
-    ones = (1 << p) - 1
-    masks = [ones if c else 0 for c in cells]
-    if len(masks) != big_f(k, p):
-        raise ValueError(
-            f"a level-{k} tape over {p} states has {big_f(k, p)} cells")
-    return Func(Arrow(chain_type(k), ZERO, PR), p, pack(masks, p), p)
-
-
 # ---------------------------------------------------------------------------
 # Machine text format
 
@@ -638,10 +611,9 @@ def format_atm(atm: Atm) -> str:
 # Showcase formulas
 
 
-def buffer_formula(negated: bool = False) -> Formula:
+def buffer_formula() -> Formula:
     """Some path spells a buffer-underflow word: one more out than in,
-    with no out-heavy point before the end (the grammar X -> out | in X X).
-    The negation states that outs never overtake ins on any path."""
+    with no out-heavy point before the end (the grammar X -> out | in X X)."""
     x, z = Var("X"), Var("Z")
     walk = Mu(
         "X", Arrow(PR, PLUS, PR),
@@ -650,8 +622,7 @@ def buffer_formula(negated: bool = False) -> Formula:
             Or(Dia("out", z), Dia("in", App(x, App(x, z)))),
         ),
     )
-    out = App(walk, tt())
-    return Neg(out) if negated else out
+    return App(walk, tt())
 
 
 def bisim_word_formula(actions) -> Formula:

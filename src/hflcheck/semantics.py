@@ -74,7 +74,6 @@ MAX_FIXPOINT_EVALS = 10**7
 class EvalStats:
     fixpoint_iterations: int = 0
     memo_hits: int = 0
-    tabulated_lambdas: int = 0  # counted by the tabulating engine only
 
 
 @dataclass
@@ -417,7 +416,6 @@ class Evaluator:
             body = kids[0]
             if self.cfg.engine == "tabulate":
                 def run(env):
-                    self.cfg.stats.tabulated_lambdas += 1
                     return self.reify_value(LamClosure(phi, body, env, None))
             else:
                 try:
@@ -478,15 +476,15 @@ class Evaluator:
 
     # -- public entry points
 
-    def eval_closed(self, phi: Formula, typecheck: bool = True):
-        if typecheck and id(phi) not in self._typed_roots:
+    def eval_closed(self, phi: Formula):
+        if id(phi) not in self._typed_roots:
             infer(EMPTY_CONTEXT, phi)
             self._compile(phi)  # holds phi, so its id stays its own
             self._typed_roots.add(id(phi))
         return self._compile(phi)({})
 
-    def denotation(self, phi: Formula, typecheck: bool = True) -> Denotation:
-        return self.reify_value(self.eval_closed(phi, typecheck))
+    def denotation(self, phi: Formula) -> Denotation:
+        return self.reify_value(self.eval_closed(phi))
 
 
 def _once(run):
@@ -535,14 +533,13 @@ def _below(args, bound, plus) -> bool:
     )
 
 
-def evaluate(lts: Lts, phi: Formula, env: dict | None = None,
-             cfg: EvalConfig | None = None, ctx=None,
+def evaluate(lts: Lts, phi: Formula, cfg: EvalConfig | None = None,
              typecheck: bool = True) -> Denotation:
-    """Denotation of `phi` over `lts`; `phi` must be closed unless env/ctx given."""
+    """Denotation of the closed formula `phi` over `lts`."""
     ev = Evaluator(lts, cfg)
     if typecheck:
-        infer(ctx or EMPTY_CONTEXT, phi)
-    return ev.reify_value(ev.eval(phi, dict(env or {})))
+        infer(EMPTY_CONTEXT, phi)
+    return ev.reify_value(ev.eval(phi, {}))
 
 
 def holds(lts: Lts, state: int, phi: Formula,

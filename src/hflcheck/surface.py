@@ -162,10 +162,6 @@ class _Parser:
         t = self.peek()
         return t.kind == "punct" and t.text == text
 
-    def at_ident(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == text
-
     # formula := iff
     def formula(self) -> Formula:
         return self.iff_level()

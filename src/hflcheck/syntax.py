@@ -458,11 +458,6 @@ class Interner:
         return cid
 
 
-def alpha_eq(a: Formula, b: Formula) -> bool:
-    it = Interner()
-    return it.canon(a) == it.canon(b)
-
-
 # ---------------------------------------------------------------------------
 # Fischer-Ladner closure and measures
 

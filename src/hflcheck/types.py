@@ -72,11 +72,11 @@ def mar(ty: HflType) -> int:
     return max([len(args)] + [mar(a) for a in args])
 
 
-def chain_type(k: int, variance: Variance = Variance.ZERO) -> HflType:
-    """The type tower t0 = Pr, t_{k+1} = t_k -> Pr used for big counters."""
+def chain_type(k: int) -> HflType:
+    """The type tower t0 = Pr, t_{k+1} = t_k^0 -> Pr used for big counters."""
     ty: HflType = PR
     for _ in range(k):
-        ty = Arrow(ty, variance, PR)
+        ty = Arrow(ty, Variance.ZERO, PR)
     return ty
 
 
@@ -131,12 +131,13 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
     """Type of `phi` under `ctx` per the nine inference rules.
 
     When `types_out` is given, it is filled with id(node) -> type for every
-    subformula (used by game construction).  Memoized on (node identity,
-    context restricted to the node's free variables), which keeps shared
-    unfolded formulas cheap to check.
+    subformula (used by game construction).  A node object shared under two
+    different typings has no single entry there, so it is refused with
+    TypeError_.  Memoized on (node identity, context restricted to the
+    node's free variables), which keeps shared unfolded formulas cheap to
+    check.
     """
     memo: dict = {}
-    collected = types_out if types_out is not None else None
 
     def ctx_key(ctx: Context, f: Formula):
         fvs = syntax.free_vars(f)
@@ -218,15 +219,19 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
         else:
             raise TypeError_(f"not a formula: {f!r}", f)
         memo[key] = ty
-        if collected is not None:
-            collected[id(f)] = ty
+        if types_out is not None:
+            if types_out.setdefault(id(f), ty) != ty:
+                raise TypeError_(
+                    "shared subformula has types "
+                    f"{format_type(types_out[id(f)])} and {format_type(ty)}", f
+                )
         return ty
 
     return go(ctx, phi)
 
 
-def typecheck(phi: Formula, ctx: Context = EMPTY_CONTEXT) -> HflType:
-    return infer(ctx, phi)
+def typecheck(phi: Formula) -> HflType:
+    return infer(EMPTY_CONTEXT, phi)
 
 
 def fragment(phi: Formula):
@@ -284,24 +289,6 @@ def lattice_size_bound(ty: HflType, n: int) -> int:
         raise ValueError("need at least one state")
     k, m = ord_(ty), mar(ty)
     return tower(n * (m + k) ** k, k + 1)
-
-
-def lattice_size_bound_at_least(ty: HflType, n: int, floor: int) -> bool:
-    """Decide floor <= the size bound without materializing the tower.
-
-    Towers only grow upward, so once a partial tower passes the floor the
-    comparison is settled; this stays exact for bounds far over any digit
-    budget.
-    """
-    if n < 1:
-        raise ValueError("need at least one state")
-    k, m = ord_(ty), mar(ty)
-    val = n * (m + k) ** k
-    for _ in range(k + 1):
-        if val >= floor.bit_length() + 1:
-            return True
-        val = 2**val
-    return val >= floor
 
 
 def type_count_bound(k: int, m: int) -> int:

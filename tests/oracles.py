@@ -1,14 +1,43 @@
-"""Independent reference implementations the test suite checks against.
+"""Independent reference implementations the test suite checks against,
+and the small helpers that only the tests use.
 
-Everything here deliberately avoids the package's evaluator machinery:
-plain frozensets, explicit iteration, direct graph walks.
+The oracles deliberately avoid the package's evaluator machinery: plain
+frozensets, explicit iteration, direct graph walks.
 """
 
 from __future__ import annotations
 
-from hflcheck.denote import Ground, leq
-from hflcheck.syntax import Dia, Mu, Neg, Or, Prop, Var
-from hflcheck.types import PrType, full_space_cardinality
+from dataclasses import replace
+
+from hflcheck.denote import Func, Ground, cardinality, element_at, leq, pack
+from hflcheck.encodings import counter_formula
+from hflcheck.syntax import (
+    Dia,
+    Interner,
+    Lam,
+    Mu,
+    Neg,
+    Or,
+    Prop,
+    Var,
+    and_,
+    and_all,
+    apply_all,
+    fold,
+    or_all,
+    rebuild,
+)
+from hflcheck.types import (
+    PR,
+    Arrow,
+    PrType,
+    Variance,
+    big_f,
+    chain_type,
+    full_space_cardinality,
+    mar,
+    ord_,
+)
 
 
 def mu_check(lts, formula, env=None) -> frozenset:
@@ -160,3 +189,87 @@ def bisim_word_oracle(lts, start: int) -> bool:
             return False
         layer = frozenset(nxt)
     return True
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use
+
+
+def empty(n: int) -> Ground:
+    return Ground(n, 0)
+
+
+def top(ty, n: int):
+    return element_at(ty, n, cardinality(ty, n) - 1)
+
+
+def join(d1, d2):
+    return replace(d1, mask=d1.mask | d2.mask)
+
+
+def alpha_eq(a, b) -> bool:
+    it = Interner()
+    return it.canon(a) == it.canon(b)
+
+
+def lattice_size_bound_at_least(ty, n: int, floor: int) -> bool:
+    """Decide floor <= `types.lattice_size_bound(ty, n)` without
+    materializing the tower.
+
+    Towers only grow upward, so once a partial tower passes the floor the
+    comparison is settled; this stays exact for bounds far over any digit
+    budget.
+    """
+    if n < 1:
+        raise ValueError("need at least one state")
+    k, m = ord_(ty), mar(ty)
+    val = n * (m + k) ** k
+    for _ in range(k + 1):
+        if val >= floor.bit_length() + 1:
+            return True
+        val = 2**val
+    return val >= floor
+
+
+def encode_tape(cells, k: int, p: int) -> Func:
+    """The denotation of a concrete tape: position h maps to S iff cell h."""
+    ones = (1 << p) - 1
+    masks = [ones if c else 0 for c in cells]
+    if len(masks) != big_f(k, p):
+        raise ValueError(
+            f"a level-{k} tape over {p} states has {big_f(k, p)} cells")
+    return Func(Arrow(chain_type(k), Variance.ZERO, PR), p, pack(masks, p), p)
+
+
+def macro_case_literal(k: int, p: int, pairs, default):
+    """The flat two-disjunct shape of `encodings.macro_case`.
+
+    It deviates from macro_case's contract ("body of the matching guard,
+    else default") when a matched body is false and the default is not.
+    """
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("literal case needs at least one branch")
+    eqk = counter_formula("eq", k, p)
+    arg = Var("I")
+    hits = or_all([
+        and_(apply_all(eqk, arg, guard), body) for guard, body in pairs
+    ])
+    misses = and_all([
+        Or(Neg(apply_all(eqk, arg, guard)), Neg(body)) for guard, body in pairs
+    ])
+    return Lam("I", Variance.ZERO, chain_type(k),
+               Or(hits, and_(default, misses)))
+
+
+def share_closed(phi):
+    """`phi` with all structurally equal closed subformulas made one
+    object.  Open subformulas are rebuilt but never merged: a shared open
+    node could need two typings."""
+    shared: dict = {}
+
+    def step(f, kids):
+        g = rebuild(f, kids)
+        return g if g.fv else shared.setdefault(g, g)
+
+    return fold(phi, step)

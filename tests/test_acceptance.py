@@ -15,7 +15,6 @@ from hflcheck.encodings import (
     bisim_word_formula,
     buffer_formula,
     counter_formula,
-    encode_tape,
     machine_formula,
     phi_m_formula,
     tape_built_formula,
@@ -57,7 +56,6 @@ from hflcheck.types import (
     big_f,
     chain_type,
     full_space_height,
-    lattice_size_bound_at_least,
     tower,
     typecheck,
 )
@@ -208,7 +206,7 @@ def test_criterion_05_lattice_cardinalities():
                 ok = False
             count += 1
         ok = ok and count == expected
-        ok = ok and lattice_size_bound_at_least(ty, p, count)
+        ok = ok and oracles.lattice_size_bound_at_least(ty, p, count)
     report(5, "enumerated chain-lattice cardinalities equal F(k, p)", ok,
            "(0,2) (0,3) (1,1) (1,2) (2,1)")
 
@@ -230,7 +228,7 @@ def test_criterion_06_tape_operations():
 
     ok = True
     for bits in itertools.product((True, False), repeat=cells):
-        t = encode_tape(bits, k, p)
+        t = oracles.encode_tape(bits, k, p)
         for h in range(cells):
             rh = number_repr(h, k, p)
             for sym in (True, False):
@@ -238,7 +236,7 @@ def test_criterion_06_tape_operations():
                     bits[h] == sym
                 )
                 expect = bits[:h] + (sym,) + bits[h + 1:]
-                ok = ok and applied(write[sym], t, rh) == encode_tape(
+                ok = ok and applied(write[sym], t, rh) == oracles.encode_tape(
                     expect, k, p
                 )
             ok = ok and applied(move[-1], rh) == number_repr(

@@ -13,7 +13,6 @@ from hflcheck.encodings import (
     bisim_word_formula,
     chi_formula,
     counter_formula,
-    encode_tape,
     format_atm,
     machine_formula,
     macro_case,
@@ -32,7 +31,7 @@ from hflcheck.lts import (
     make_lts,
 )
 from hflcheck.semantics import Evaluator, evaluate, holds
-from hflcheck.syntax import App, apply_all, desugar_vec, ff, tt
+from hflcheck.syntax import App, Neg, apply_all, desugar_vec, ff, tt
 from hflcheck.types import big_f, fragment, typecheck
 
 import machines
@@ -122,7 +121,7 @@ def test_macro_case_literal_divergence_witness():
     ev = _ev(lts)
     pairs = ((chi_formula(1, 0, p), ff()),)
     nested = macro_case(0, p, pairs, tt())
-    literal = macro_case(0, p, pairs, tt(), literal=True)
+    literal = oracles.macro_case_literal(0, p, pairs, tt())
     arg = number_repr(1, 0, p)
     assert _apply(ev, ev.eval_closed(nested), arg).mask == 0
     assert _apply(ev, ev.eval_closed(literal), arg) == full(p)
@@ -130,7 +129,7 @@ def test_macro_case_literal_divergence_witness():
 
 def test_macro_case_literal_empty_rejected():
     with pytest.raises(ValueError):
-        macro_case(0, 2, (), tt(), literal=True)
+        oracles.macro_case_literal(0, 2, (), tt())
 
 
 @pytest.mark.parametrize("k,p", [(0, 2), (0, 3), (1, 2)])
@@ -219,14 +218,15 @@ def test_tape_read_write_move_exhaustive_small():
     write = {s: ev.eval_closed(tp.write[s]) for s in (True, False)}
     move = {d: ev.eval_closed(tp.move[d]) for d in (-1, 0, 1)}
     for bits in itertools.product((True, False), repeat=cells):
-        t = encode_tape(bits, k, p)
+        t = oracles.encode_tape(bits, k, p)
         for h in range(cells):
             rh = number_repr(h, k, p)
             for sym in (True, False):
                 got = _apply(ev, read[sym], t, rh)
                 assert (got == full(p)) == (bits[h] == sym)
                 new_bits = bits[:h] + (sym,) + bits[h + 1:]
-                assert _apply(ev, write[sym], t, rh) == encode_tape(new_bits, k, p)
+                want = oracles.encode_tape(new_bits, k, p)
+                assert _apply(ev, write[sym], t, rh) == want
             assert _apply(ev, move[-1], rh) == number_repr((h - 1) % cells, k, p)
             assert _apply(ev, move[0], rh) == number_repr(h, k, p)
             assert _apply(ev, move[1], rh) == number_repr((h + 1) % cells, k, p)
@@ -236,15 +236,16 @@ def test_tape0_spells_out_word():
     p = 3
     lts = gen_counter_lts(p)
     tp = tape_formulas(0, p, (True, False))
-    expect = encode_tape((True, False) + (False,) * 6, 0, p)
+    expect = oracles.encode_tape((True, False) + (False,) * 6, 0, p)
     assert evaluate(lts, tp.tape0) == expect
     # single-cell word at p=2, per the level-0 case contract
     lts2 = gen_counter_lts(2)
     tp2 = tape_formulas(0, 2, (True,))
-    assert evaluate(lts2, tp2.tape0) == encode_tape((True, False, False, False), 0, 2)
+    want = oracles.encode_tape((True, False, False, False), 0, 2)
+    assert evaluate(lts2, tp2.tape0) == want
     # a tape has one cell per element of its position type
     with pytest.raises(ValueError):
-        encode_tape((True, False, False), 0, 2)
+        oracles.encode_tape((True, False, False), 0, 2)
 
 
 def test_tape0_rejects_long_word():
@@ -358,7 +359,7 @@ def test_buffer_formula_against_oracle():
         for word in itertools.product(("in", "out"), repeat=r):
             got = holds(gen_word_lts(word), 0, buffer_formula())
             assert got == oracles.buffer_oracle(word), word
-            negated = holds(gen_word_lts(word), 0, buffer_formula(negated=True))
+            negated = holds(gen_word_lts(word), 0, Neg(buffer_formula()))
             assert negated == (not got)
 
 

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from hflcheck.encodings import chi_formula, counter_formula
-from hflcheck.errors import BudgetError, EnumLimitError, GameLimitError
+from hflcheck.errors import BudgetError, EnumLimitError, GameLimitError, HflError
 from hflcheck.games import (
     EXISTS,
     FORALL,
@@ -23,7 +23,7 @@ from hflcheck.games import (
     topological_order,
 )
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
-from hflcheck.semantics import eliminate_fixpoints, evaluate, holds
+from hflcheck.semantics import EvalConfig, eliminate_fixpoints, evaluate, holds
 from hflcheck.syntax import (
     App,
     Dia,
@@ -34,6 +34,7 @@ from hflcheck.syntax import (
     Prop,
     Var,
     apply_all,
+    dag_size,
     desugar_vec,
     ff,
     free_vars,
@@ -189,6 +190,49 @@ def test_game_agrees_with_eval_random():
             continue
         assert via_games == holds(lts, state, phi)
         agree += 1
+
+
+def test_node_shared_under_two_typings_is_never_misjudged():
+    # One Var object, of type Pr^0 -> Pr on the left and Pr on the right.
+    # The builder reads entry widths by node identity, so it may refuse
+    # this formula, but it must never read the wrong widths and say False.
+    x = Var("X")
+    phi = App(Lam("X", Z, Arrow(PR, Z, PR), App(x, Prop("p"))),
+              Lam("X", Z, PR, x))  # means p
+    lts = make_lts(2, [(0, "a", 1)], [(0, "p")])
+    assert holds(lts, 0, phi)
+    try:
+        assert check_via_games(lts, 0, phi) is True
+    except HflError:
+        pass
+
+
+def test_verdicts_do_not_depend_on_shared_closed_subformulas():
+    # Configurations are keyed by node identity, so sharing may change a
+    # game's size; it must not change any procedure's verdict.
+    rng = random.Random(11)
+    gained = games = 0
+    for _ in range(300):
+        lts = randgen.random_lts(rng, 2)
+        phi = randgen.random_hfl_formula(
+            rng, randgen.HoGenConfig(max_depth=4, tabulate_safe=True))
+        twin = oracles.share_closed(phi)
+        gained += dag_size(twin) < dag_size(phi)
+        want = evaluate(lts, phi)
+        for engine in ("demand", "tabulate"):
+            assert evaluate(lts, twin, cfg=EvalConfig(engine=engine)) == want
+        state = rng.randrange(lts.n)
+        try:
+            got = check_via_games(lts, state, twin, game_limit=10**5,
+                                  unfold_budget=64)
+            flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
+            game = build_game(lts, state, oracles.share_closed(flat), 10**5)
+        except BudgetError:
+            continue
+        assert got == bool(want.mask >> state & 1)
+        assert (solve(game).winner == EXISTS) == got
+        games += 1
+    assert gained > 150 and games > 250
 
 
 class _WeakProp(Prop):

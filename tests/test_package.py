@@ -1,9 +1,79 @@
-"""The package's public export list."""
+"""The package's public export list, and the API the benchmark calls."""
+
+import ast
+import importlib
+import inspect
+import pathlib
 
 import hflcheck
+from hflcheck.semantics import Evaluator
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The benchmark's modules that call the package; read here, never changed.
+BENCH_SOURCES = ("perfbench/workloads.py", "perfbench/gen.py")
+EVALUATOR_METHODS = ("eval_closed", "apply_value", "reify_value", "denotation")
 
 
 def test_every_exported_name_resolves():
     assert len(set(hflcheck.__all__)) == len(hflcheck.__all__)
     for name in hflcheck.__all__:
         assert getattr(hflcheck, name, None) is not None, name
+
+
+def _bench_uses():
+    """(module, name) pairs the benchmark reads off hflcheck modules, and
+    its calls of those names and of the Evaluator methods, as (callee,
+    positional count, keyword names, where)."""
+    names, calls = set(), []
+    for rel in BENCH_SOURCES:
+        tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"))
+        mods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "hflcheck":
+                for alias in node.names:
+                    mods[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in mods):
+                names.add((mods[node.value.id], node.attr))
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                continue
+            f = node.func
+            if isinstance(f.value, ast.Name) and f.value.id in mods:
+                callee = (mods[f.value.id], f.attr)
+            elif f.attr in EVALUATOR_METHODS:
+                callee = ("semantics.Evaluator", f.attr)
+            else:
+                continue
+            calls.append((callee, len(node.args),
+                          [k.arg for k in node.keywords],
+                          f"{rel}:{node.lineno}"))
+    return names, calls
+
+
+def test_benchmark_api_resolves():
+    names, calls = _bench_uses()
+    assert ("semantics", "evaluate") in names and calls
+    for mod, name in sorted(names):
+        module = importlib.import_module(f"hflcheck.{mod}")
+        assert hasattr(module, name), f"hflcheck.{mod}.{name}"
+    for name in EVALUATOR_METHODS:
+        assert callable(getattr(Evaluator, name, None)), name
+    for (owner, name), nargs, keywords, where in calls:
+        if owner == "semantics.Evaluator":
+            fn = getattr(Evaluator, name)
+            nargs += 1  # self
+        else:
+            fn = getattr(importlib.import_module(f"hflcheck.{owner}"), name)
+        if not callable(fn):
+            continue
+        try:
+            inspect.signature(fn).bind(*[None] * nargs,
+                                       **dict.fromkeys(keywords))
+        except TypeError as e:
+            raise AssertionError(f"{where}: {owner}.{name}: {e}") from None

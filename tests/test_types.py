@@ -79,6 +79,23 @@ def test_infer_or_needs_ground():
         typecheck(Or(Lam("X", Z, PR, Var("X")), Prop("q")))
 
 
+def test_typing_table_refuses_a_node_shared_under_two_typings():
+    # One Var object, bound at Pr^0 -> Pr on the left and at Pr on the right:
+    # each use is well typed, but an id-keyed table can hold only one type.
+    x = Var("X")
+    phi = App(Lam("X", Z, Arrow(PR, Z, PR), App(x, Prop("p"))),
+              Lam("X", Z, PR, x))
+    assert typecheck(phi) == PR
+    with pytest.raises(TypeError_):
+        infer(Context(), phi, types_out={})
+    # the same type twice is no conflict
+    y = Var("Y")
+    table: dict = {}
+    both = App(Lam("Y", Z, PR, y), App(Lam("Y", Z, PR, y), Prop("p")))
+    assert infer(Context(), both, types_out=table) == PR
+    assert table[id(y)] == PR
+
+
 def test_ord_mar_examples():
     assert ord_(PR) == 0 and mar(PR) == 0
     t1 = Arrow(PR, Z, PR)
