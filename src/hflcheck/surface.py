@@ -6,11 +6,26 @@ printer emits core constructors only and always re-parses to an
 alpha-equal formula.  Propositions and actions are lowercase-first
 identifiers, variables uppercase-first; `<a>` modalities must not contain
 whitespace, which keeps them distinct from `<->`.
+
+The lexer is one regular expression, `_TOKEN`, with one named group per
+token kind (punct, dia, box, nat, ident); whitespace and `#` comments
+match no group.  A token is a `(kind, text, start, end)` tuple.  Binary
+connectives are parsed by precedence climbing over `_BINARY`:
+
+    <->  binds 1, left      ->  binds 2, right
+    |    binds 3, left      &   binds 4, left
+
+The prefixes `!`, `<a>` and `[a]` bind tighter, and application tightest;
+binders extend as far right as they can.  A run of prefixes is read in a
+loop and printed in one, so it takes no frame per operator; each level of
+parentheses takes three.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ParseError
 from .syntax import (
@@ -47,94 +62,64 @@ class SourceSpan:
             raise ValueError("span start after end")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, nat, dia, box, punct, eof
-    text: str
-    span: SourceSpan
-
-
-_PUNCT = ("<->", "->", "^+", "^-", "^0", "(", ")", "|", "&", "!", ".", ":",
-          ";", "\\")
-
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+# `[^\W\d]` also admits the Unicode numerics that are not letters (such
+# as `½`); `tokenize` refuses a name that starts with one.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | \#[^\n]*
+  | (?P<punct> <-> | -> | \^[-+0] | [()|&!.:;\\] )
+  | < (?P<dia> [^\W\d]\w* ) >
+  | \[ (?P<box> [^\W\d]\w* ) \]
+  | (?P<nat> \d+ )
+  | (?P<ident> [^\W\d]\w* )
+""", re.VERBOSE)
 
 
 def tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c == "<":
-            if text.startswith("<->", i):
-                tokens.append(Token("punct", "<->", SourceSpan(i, i + 3)))
-                i += 3
-                continue
-            j = i + 1
-            if j < n and _is_ident_start(text[j]):
-                while j < n and _is_ident_char(text[j]):
-                    j += 1
-                if j < n and text[j] == ">":
-                    tokens.append(
-                        Token("dia", text[i + 1:j], SourceSpan(i, j + 1))
-                    )
-                    i = j + 1
-                    continue
-            raise ParseError("stray '<'", SourceSpan(i, i + 1),
-                             {"<action>", "<->"})
-        if c == "[":
-            j = i + 1
-            if j < n and _is_ident_start(text[j]):
-                while j < n and _is_ident_char(text[j]):
-                    j += 1
-                if j < n and text[j] == "]":
-                    tokens.append(
-                        Token("box", text[i + 1:j], SourceSpan(i, j + 1))
-                    )
-                    i = j + 1
-                    continue
-            raise ParseError("stray '['", SourceSpan(i, i + 1), {"[action]"})
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, SourceSpan(i, i + len(p))))
-                i += len(p)
-                matched = True
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        start, end = m.span()
+        if start != pos:
+            break
+        kind = m.lastgroup
+        if kind is not None:
+            word = m.group(kind)
+            if (kind != "punct" and kind != "nat" and not word[0].isalpha()
+                    and word[0] != "_"):
                 break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(Token("ident", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    tokens.append(Token("eof", "", SourceSpan(n, n)))
+            tokens.append((kind, word, start, end))
+        pos = end
+    if pos < len(text):
+        c = text[pos]
+        span = SourceSpan(pos, pos + 1)
+        if c == "<":
+            raise ParseError("stray '<'", span, {"<action>", "<->"})
+        if c == "[":
+            raise ParseError("stray '['", span, {"[action]"})
+        raise ParseError(f"unexpected character {c!r}", span)
+    tokens.append(("eof", "", pos, pos))
     return tokens
+
+
+def _span(token) -> SourceSpan:
+    return SourceSpan(token[2], token[3])
+
+
+def _found(token, expected) -> ParseError:
+    return ParseError(f"found {token[1] or 'end of input'!r}", _span(token),
+                      expected)
+
+
+# Token text -> (binding power, right-associative, constructor).  Texts
+# identify punctuation, because no name or number is spelled like one.
+_BINARY = {
+    "<->": (1, False, iff),
+    "->": (2, True, implies),
+    "|": (3, False, Or),
+    "&": (4, False, and_),
+}
+
+_VARIANCE = {"^+": Variance.PLUS, "^-": Variance.MINUS, "^0": Variance.ZERO}
 
 
 class _Parser:
@@ -142,159 +127,120 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self):
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self):
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind == "punct" and t.text == text:
-            return self.next()
-        if t.kind == "ident" and t.text == text:
-            return self.next()
-        raise ParseError(f"found {t.text or 'end of input'!r}", t.span, {text})
+    def expect(self, text: str):
+        t = self.next()
+        if t[1] != text:
+            raise _found(t, {text})
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    # formula := iff
-    def formula(self) -> Formula:
-        return self.iff_level()
-
-    def iff_level(self) -> Formula:
-        out = self.impl_level()
-        while self.at_punct("<->"):
-            self.next()
-            out = iff(out, self.impl_level())
-        return out
-
-    def impl_level(self) -> Formula:
-        parts = [self.or_level()]
-        while self.at_punct("->"):
-            self.next()
-            parts.append(self.or_level())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = implies(p, out)
-        return out
-
-    def or_level(self) -> Formula:
-        out = self.and_level()
-        while self.at_punct("|"):
-            self.next()
-            out = Or(out, self.and_level())
-        return out
-
-    def and_level(self) -> Formula:
+    def formula(self, power: int = 1) -> Formula:
+        """Connectives binding at least `power`.  A run of one connective
+        is read in a loop and then folded, so only a higher-binding
+        operand takes a frame."""
         out = self.unary()
-        while self.at_punct("&"):
-            self.next()
-            out = and_(out, self.unary())
-        return out
+        while True:
+            op = self.tokens[self.pos][1]
+            row = _BINARY.get(op)
+            if row is None or row[0] < power:
+                return out
+            op_power, right, build = row
+            operands = [out]
+            while self.tokens[self.pos][1] == op:
+                self.pos += 1
+                operands.append(self.formula(op_power + 1))
+            if right:
+                out = reduce(lambda acc, f: build(f, acc), reversed(operands))
+            else:
+                out = reduce(build, operands)
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "!":
-            self.next()
-            return Neg(self.unary())
-        if t.kind == "dia":
-            self.next()
-            self._check_action(t)
-            return Dia(t.text, self.unary())
-        if t.kind == "box":
-            self.next()
-            self._check_action(t)
-            return box(t.text, self.unary())
-        return self.app()
-
-    def app(self) -> Formula:
+        """A run of `!`, `<a>` and `[a]`, then an application; the
+        prefixes apply innermost first."""
+        tokens = self.tokens
+        prefixes = []
+        while True:
+            t = tokens[self.pos]
+            if t[0] == "dia" or t[0] == "box":
+                if not t[1][0].islower() and t[1][0] != "_":
+                    raise ParseError("actions are lowercase-first", _span(t))
+            elif t[1] != "!":
+                break
+            prefixes.append(t)
+            self.pos += 1
         out = self.atom()
-        while self._at_atom_start():
+        while True:
+            kind, text = tokens[self.pos][:2]
+            if kind != "ident" and text != "(" and text != "\\":
+                break
             out = App(out, self.atom())
+        for kind, text, _, _ in reversed(prefixes):
+            if kind == "dia":
+                out = Dia(text, out)
+            elif kind == "box":
+                out = box(text, out)
+            else:
+                out = Neg(out)
         return out
 
-    def _at_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident":
-            return True
-        return t.kind == "punct" and t.text in ("(", "\\")
-
     def atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        t = self.next()
+        kind, text = t[:2]
+        if text == "(":
             out = self.formula()
             self.expect(")")
             return out
-        if t.kind == "punct" and t.text == "\\":
-            return self.lam()
-        if t.kind == "ident":
-            if t.text in ("mu", "nu"):
-                return self.fixpoint()
-            if t.text == "fix":
-                return self.vector_fixpoint()
-            if t.text in ("tt", "true"):
-                self.next()
-                return tt()
-            if t.text in ("ff", "false"):
-                self.next()
-                return ff()
-            if t.text in RESERVED:
-                raise ParseError(f"reserved word {t.text!r}", t.span)
-            self.next()
-            if t.text[0].isupper():
-                return Var(t.text)
-            return Prop(t.text)
-        raise ParseError(f"found {t.text or 'end of input'!r}", t.span,
-                         {"formula"})
+        if text == "\\":
+            var, ty = self.binder()
+            variance = self.opt_variance()
+            self.expect(".")
+            return Lam(var, variance, ty, self.formula())
+        if kind != "ident":
+            raise _found(t, {"formula"})
+        if text in ("mu", "nu"):
+            var, ty = self.binder()
+            self.expect(".")
+            body = self.formula()
+            return Mu(var, ty, body) if text == "mu" else nu(var, ty, body)
+        if text == "fix":
+            return self.vector_fixpoint()
+        if text in ("tt", "true"):
+            return tt()
+        if text in ("ff", "false"):
+            return ff()
+        if text in RESERVED:
+            raise ParseError(f"reserved word {text!r}", _span(t))
+        return Var(text) if text[0].isupper() else Prop(text)
 
-    def lam(self) -> Formula:
-        self.expect("\\")
+    def binder(self):
+        """`(X:type)`, the head of a lambda or a fixpoint."""
         self.expect("(")
         var = self.var_name()
         self.expect(":")
         ty = self.type_()
         self.expect(")")
-        variance = self.opt_variance(default=Variance.PLUS)
-        self.expect(".")
-        body = self.formula()
-        return Lam(var, variance, ty, body)
-
-    def fixpoint(self) -> Formula:
-        kw = self.next().text
-        self.expect("(")
-        var = self.var_name()
-        self.expect(":")
-        ty = self.type_()
-        self.expect(")")
-        self.expect(".")
-        body = self.formula()
-        if kw == "mu":
-            return Mu(var, ty, body)
-        return nu(var, ty, body)
+        return var, ty
 
     def vector_fixpoint(self) -> Formula:
-        self.expect("fix")
-        t = self.peek()
-        if t.kind != "nat":
-            raise ParseError("fix needs a component index", t.span, {"NAT"})
-        self.next()
-        index = int(t.text)
+        t = self.next()
+        if t[0] != "nat":
+            raise ParseError("fix needs a component index", _span(t), {"NAT"})
         self.expect("(")
         bindings = [self.binding()]
-        while self.at_punct(";"):
-            self.next()
+        while self.peek()[1] == ";":
+            self.pos += 1
             bindings.append(self.binding())
         self.expect(")")
         try:
-            return MuVec(index, tuple(bindings))
+            return MuVec(int(t[1]), tuple(bindings))
         except ValueError as e:
-            raise ParseError(str(e), t.span) from e
+            raise ParseError(str(e), _span(t)) from e
 
     def binding(self):
         var = self.var_name()
@@ -305,73 +251,61 @@ class _Parser:
         return (var, ty, body)
 
     def var_name(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or not t.text[0].isupper():
-            raise ParseError(f"found {t.text or 'end of input'!r}", t.span,
-                             {"variable"})
-        if t.text in RESERVED:
-            raise ParseError(f"reserved word {t.text!r}", t.span)
-        self.next()
-        return t.text
+        t = self.next()
+        if t[0] != "ident" or not t[1][0].isupper():
+            raise _found(t, {"variable"})
+        if t[1] in RESERVED:
+            raise ParseError(f"reserved word {t[1]!r}", _span(t))
+        return t[1]
 
-    def _check_action(self, t: Token):
-        if not t.text[0].islower() and t.text[0] != "_":
-            raise ParseError("actions are lowercase-first", t.span)
-
-    def opt_variance(self, default: Variance) -> Variance:
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("^+", "^-", "^0"):
-            self.next()
-            return {"^+": Variance.PLUS, "^-": Variance.MINUS,
-                    "^0": Variance.ZERO}[t.text]
-        return default
+    def opt_variance(self) -> Variance:
+        variance = _VARIANCE.get(self.peek()[1])
+        if variance is None:
+            return Variance.PLUS
+        self.pos += 1
+        return variance
 
     # type := tatom ( varc? "->" type )?
     def type_(self) -> HflType:
         left = self.tatom()
-        t = self.peek()
-        if (t.kind == "punct" and t.text in ("^+", "^-", "^0", "->")):
-            variance = self.opt_variance(default=Variance.PLUS)
-            self.expect("->")
-            return Arrow(left, variance, self.type_())
-        return left
+        if self.peek()[1] not in ("^+", "^-", "^0", "->"):
+            return left
+        variance = self.opt_variance()
+        self.expect("->")
+        return Arrow(left, variance, self.type_())
 
     def tatom(self) -> HflType:
-        t = self.peek()
-        if t.kind == "ident" and t.text == "Pr":
-            self.next()
+        t = self.next()
+        if t[0] == "ident" and t[1] == "Pr":
             return PR
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if t[1] == "(":
             ty = self.type_()
             self.expect(")")
             return ty
-        raise ParseError(f"found {t.text or 'end of input'!r}", t.span,
-                         {"Pr", "("})
+        raise _found(t, {"Pr", "("})
+
+
+def _parse(text: str, rule):
+    p = _Parser(text)
+    out = rule(p)
+    t = p.peek()
+    if t[0] != "eof":
+        raise ParseError(f"trailing input {t[1]!r}", _span(t))
+    return out
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    out = p.formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.span)
-    return out
+    return _parse(text, _Parser.formula)
 
 
 def parse_type(text: str) -> HflType:
-    p = _Parser(text)
-    out = p.type_()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.span)
-    return out
+    return _parse(text, _Parser.type_)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_VARC = {Variance.PLUS: "^+", Variance.MINUS: "^-", Variance.ZERO: "^0"}
+_VARC = {v: k for k, v in _VARIANCE.items()}
 
 
 # Types print the same everywhere; this is `types.format_type`.
@@ -399,12 +333,17 @@ def print_formula(phi: Formula, full_parens: bool = False) -> str:
         if isinstance(f, Or):
             text = f"{go(f.left, _PREC_OR)} | {go(f.right, _PREC_OR + 1)}"
             return wrap(text, _PREC_OR, minimum)
-        if isinstance(f, Neg):
-            text = f"!{go(f.body, _PREC_UNARY)}"
-            return wrap(text, _PREC_UNARY, minimum)
-        if isinstance(f, Dia):
-            text = f"<{f.action}> {go(f.body, _PREC_UNARY)}"
-            return wrap(text, _PREC_UNARY, minimum)
+        if isinstance(f, (Neg, Dia)):
+            # A prefix run prints in a loop; only its outermost prefix
+            # can need parentheses, unless every level gets them.
+            prefixes = []
+            while isinstance(f, (Neg, Dia)):
+                prefixes.append("!" if isinstance(f, Neg) else f"<{f.action}> ")
+                f = f.body
+            text = go(f, _PREC_UNARY)
+            for prefix in reversed(prefixes[1:]):
+                text = wrap(prefix + text, _PREC_UNARY, _PREC_UNARY)
+            return wrap(prefixes[0] + text, _PREC_UNARY, minimum)
         if isinstance(f, App):
             text = f"{go(f.func, _PREC_APP)} {go(f.arg, _PREC_ATOM)}"
             return wrap(text, _PREC_APP, minimum)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -97,9 +98,38 @@ def test_check_parse_error_is_exit_2(files, capsys, tmp_path):
     assert "error[ParseError]:" in capsys.readouterr().err
 
 
+# Connectives and atoms come twice as often as binders and bad fragments.
+SOUP = ("p", "q", "X", "!", "<a>", "[a]", "&", "|", "->", "<->") * 2 + (
+    "(", ")", "Y", "tt", "ff", "mu (X:Pr).", "nu (Y:Pr).", "\\(X:Pr).",
+    "\\(X:Pr)^0.", "fix 1 (X:Pr.", ";", "Y:Pr.", "Pr", "<", "^", "#")
+
+
+def test_check_token_soup_exits_cleanly_and_alike(files, capsys):
+    # Seeded malformed input: every engine answers 0, 1 or 2, all alike,
+    # and an error is reported as `error[...]`, never as a traceback.
+    _, chain, _, _, _ = files
+    soup = chain.parent / "soup.hfl"
+    rng = random.Random(10)
+    for _ in range(400):
+        text = " ".join(rng.choice(SOUP) for _ in range(rng.randint(1, 10)))
+        soup.write_text(text + "\n")
+        codes = set()
+        for engine in ("naive", "demand", "elim-game"):
+            code = main(["check", "--lts", str(chain), "--formula", str(soup),
+                         "--state", "0", "--engine", engine])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (text, engine)
+            if code == 2:
+                assert err.startswith("error[") and "Traceback" not in err, (
+                    text, engine, err)
+            codes.add(code)
+        assert len(codes) == 1, text
+
+
 def test_check_too_deep_is_exit_2_without_traceback(files, tmp_path):
-    # 30,000 nested modalities pass the recursion limit while parsing; that
-    # is an error (2), never a failing property (1).
+    # 30,000 nested modalities parse, then pass the recursion limit while
+    # typing (`types.infer`); that is an error (2), never a failing
+    # property (1).
     _, chain, _, _, _ = files
     deep = tmp_path / "deep.hfl"
     deep.write_text("<a> " * 30_000 + "true\n")

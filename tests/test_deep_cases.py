@@ -11,6 +11,7 @@ from hflcheck.encodings import (
 from hflcheck.games import build_game, check_via_games, solve
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import Evaluator, eliminate_fixpoints, evaluate, holds
+from hflcheck.surface import parse_formula, print_formula
 from hflcheck.syntax import (
     App,
     Dia,
@@ -206,3 +207,23 @@ def test_eliminate_fixpoints_handles_deep_nesting():
 
 def test_tree_size_handles_deep_nesting():
     assert tree_size(_deep(Prop("q"))) == 2 * DEEP_PAIRS + 1
+
+
+def test_print_formula_handles_deep_nesting():
+    text = print_formula(_deep(Prop("q")))
+    assert _leaf_under(parse_formula(text)) == Prop("q")
+
+
+@pytest.mark.parametrize("prefix, node", [("<a> ", Dia), ("!", Neg)])
+def test_parse_formula_handles_long_prefix_runs(prefix, node):
+    # A run of prefixes is read in a loop, so 30,000 take no frame each.
+    phi = parse_formula(prefix * 30_000 + "q")
+    for _ in range(30_000):
+        assert type(phi) is node
+        phi = phi.body
+    assert phi == Prop("q")
+
+
+def test_parse_formula_handles_deep_parentheses():
+    # Three frames per level keep 3,000 levels under the recursion limit.
+    assert parse_formula("(" * 3_000 + "q" + ")" * 3_000) == Prop("q")

@@ -85,6 +85,7 @@ def test_parse_identifier_classes():
     assert parse_formula("q") == Prop("q")
     assert parse_formula("Q") == Var("Q")
     assert parse_formula("__q") == Prop("__q")
+    assert parse_formula("\u00c9a | \u00b5") == Or(Var("\u00c9a"), Prop("\u00b5"))
 
 
 def test_parse_comments_and_whitespace():
@@ -109,6 +110,42 @@ def test_parse_error_unbalanced():
         parse_formula("((q)")
     with pytest.raises(ParseError):
         parse_formula("q)")
+
+
+@pytest.mark.parametrize("parse, text, message, span, expected", [
+    (parse_formula, "q | (p & ",
+     "found 'end of input' at 9..9 (expected: formula)", (9, 9), {"formula"}),
+    (parse_formula, "((q)",
+     "found 'end of input' at 4..4 (expected: ))", (4, 4), {")"}),
+    (parse_formula, "q)", "trailing input ')' at 1..2", (1, 2), set()),
+    (parse_formula, "< a > q",
+     "stray '<' at 0..1 (expected: <->, <action>)", (0, 1), {"<->", "<action>"}),
+    (parse_formula, "<-x",
+     "stray '<' at 0..1 (expected: <->, <action>)", (0, 1), {"<->", "<action>"}),
+    (parse_formula, "[a q",
+     "stray '[' at 0..1 (expected: [action])", (0, 1), {"[action]"}),
+    (parse_formula, "<A> q", "actions are lowercase-first at 0..3", (0, 3), set()),
+    (parse_formula, "p ^ q", "unexpected character '^' at 2..3", (2, 3), set()),
+    # Unicode numerics that are not letters start no name.
+    (parse_formula, "p \u00bd", "unexpected character '\u00bd' at 2..3", (2, 3),
+     set()),
+    (parse_formula, "<\u2170> q",
+     "stray '<' at 0..1 (expected: <->, <action>)", (0, 1), {"<->", "<action>"}),
+    (parse_formula, "mu (fix:Pr). q",
+     "found 'fix' at 4..7 (expected: variable)", (4, 7), {"variable"}),
+    (parse_formula, "fix (X:Pr. X)",
+     "fix needs a component index at 4..5 (expected: NAT)", (4, 5), {"NAT"}),
+    (parse_formula, "fix 3 (X:Pr. X)",
+     "component index 3 out of range at 4..5", (4, 5), set()),
+    (parse_type, "Pr^0",
+     "found 'end of input' at 4..4 (expected: ->)", (4, 4), {"->"}),
+])
+def test_parse_error_contract(parse, text, message, span, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert (err.value.span.start, err.value.span.end) == span
+    assert err.value.expected == expected
 
 
 def test_parse_error_reserved_word():
