@@ -18,7 +18,7 @@ from .denote import (
     number_repr,
 )
 from .errors import HflError
-from .games import build_game, check_via_games, export_game, solve
+from .games import build_game, check_via_games, export_game, play, solve
 from .lts import Lts, gen_chain, gen_counter_lts, gen_counter_lts_labeled, gen_word_lts
 from .semantics import (
     EvalConfig,
@@ -71,6 +71,7 @@ __all__ = [
     "number_repr",
     "parse_formula",
     "parse_type",
+    "play",
     "print_formula",
     "print_type",
     "semantics",

@@ -48,12 +48,6 @@ def _parse_word(text: str):
 def cmd_check(args) -> int:
     model = lts.load(_read(args.lts))
     phi = surface.parse_formula(_read(args.formula))
-    phi = syntax.desugar_vec(phi)
-    ty = types.typecheck(phi)
-    if not isinstance(ty, types.PrType):
-        raise HflError(f"formula has type {types.format_type(ty)}, not Pr")
-    if not 0 <= args.state < model.n:
-        raise HflError(f"state {args.state} out of range")
     cfg = semantics.EvalConfig(
         engine="tabulate" if args.engine == "naive" else "demand",
         enum_limit=args.enum_limit,
@@ -62,11 +56,9 @@ def cmd_check(args) -> int:
     game_nodes = game_edges = None
     bounds = {}
     if args.engine == "elim-game":
-        fp_free = semantics.eliminate_fixpoints(
-            phi, model, args.unfold_limit, args.size_limit
-        )
-        game = games.build_game(model, args.state, fp_free,
-                                args.game_limit, args.enum_limit)
+        fp_free, game, solution = games.play(
+            model, args.state, phi, args.game_limit, args.enum_limit,
+            args.unfold_limit, args.size_limit)
         game_nodes, game_edges = game.node_count, game.edge_count
         try:
             bound = games.size_bound_for(fp_free, model)
@@ -76,10 +68,10 @@ def cmd_check(args) -> int:
             )
         except HflError as e:
             bounds["game_size_bound"] = f"over budget ({e})"
-        verdict = games.solve(game).winner == games.EXISTS
+        verdict = solution.winner == games.EXISTS
     else:
-        value = semantics.evaluate(model, phi, cfg=cfg, typecheck=False)
-        verdict = bool(value.mask >> args.state & 1)
+        verdict = semantics.holds(model, args.state, syntax.desugar_vec(phi),
+                                  cfg)
     elapsed = time.monotonic() - started
 
     if args.json:
@@ -142,14 +134,10 @@ def cmd_typecheck(args) -> int:
 
 def cmd_game(args) -> int:
     model = lts.load(_read(args.lts))
-    phi = syntax.desugar_vec(surface.parse_formula(_read(args.formula)))
-    types.typecheck(phi)
-    fp_free = semantics.eliminate_fixpoints(
-        phi, model, args.unfold_limit, args.size_limit
-    )
-    game = games.build_game(model, args.state, fp_free,
-                            args.game_limit, args.enum_limit)
-    solution = games.solve(game)
+    phi = surface.parse_formula(_read(args.formula))
+    _, game, solution = games.play(model, args.state, phi, args.game_limit,
+                                   args.enum_limit, args.unfold_limit,
+                                   args.size_limit)
     _write(args.out, games.export_game(game, args.dump, solution))
     return 0
 
@@ -318,10 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HflError as e:
-        print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (HflError, OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:

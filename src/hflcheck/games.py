@@ -1,4 +1,4 @@
-"""Reachability games for fixpoint-free formulas, and the full pipeline.
+"""Reachability games for fixpoint-free formulas, and the elim-game pipeline.
 
 A configuration node asserts that a state belongs to the current formula's
 value applied to the argument stack.  Disjunctions and diamonds branch for
@@ -29,10 +29,11 @@ import json
 from dataclasses import dataclass
 
 from . import denote, semantics, surface, syntax
-from .errors import GameLimitError, InternalError
+from .errors import BoundBudgetError, GameLimitError, InternalError
 from .lts import Lts
 from .syntax import App, Dia, Formula, Lam, Mu, MuVec, Neg, Or, Prop, Var
-from .types import EMPTY_CONTEXT, PrType, fragment, infer, tower, uncurry
+from .types import (EMPTY_CONTEXT, PrType, fragment, infer, tower, typecheck,
+                    uncurry)
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -179,8 +180,11 @@ class _Builder:
         and with the count, where counting one by one would."""
         self.used += count
         if self.used > self.limit:
-            raise GameLimitError(self.limit + 1, self.limit,
-                                 size_bound_for(self.phi, self.lts))
+            try:
+                estimate = size_bound_for(self.phi, self.lts)
+            except BoundBudgetError as e:
+                estimate = f"over budget ({e})"
+            raise GameLimitError(self.limit + 1, self.limit, estimate)
 
     def fan(self, idx, payload, count) -> int:
         """Give idx `count` new opponent successors; the first's index."""
@@ -333,33 +337,24 @@ def solve(game: Game) -> Solution:
 
     order = topological_order(game)
     winners = [None] * n
-    strategy_e: dict = {}
-    strategy_a: dict = {}
+    strategies: dict = {EXISTS: {}, FORALL: {}}
     for u in reversed(order):
         k = game.kinds[u]
         if k == WIN_E:
             winners[u] = EXISTS
         elif k == WIN_A:
             winners[u] = FORALL
-        elif k == EXISTS:
-            winners[u] = FORALL
+        else:  # the owner k wins iff one of its moves leads to a node it wins
+            winners[u] = FORALL if k == EXISTS else EXISTS
             for v in game.edges[u]:
-                if winners[v] == EXISTS:
-                    winners[u] = EXISTS
-                    strategy_e[u] = v
-                    break
-        else:
-            winners[u] = EXISTS
-            for v in game.edges[u]:
-                if winners[v] == FORALL:
-                    winners[u] = FORALL
-                    strategy_a[u] = v
+                if winners[v] == k:
+                    winners[u] = k
+                    strategies[k][u] = v
                     break
     winner = winners[game.start]
-    strategy = dict(strategy_e if winner == EXISTS else strategy_a)
-    own_kind = EXISTS if winner == EXISTS else FORALL
+    strategy = strategies[winner]
     for u, k in enumerate(game.kinds):
-        if k == own_kind and u not in strategy:
+        if k == winner and u not in strategy:
             strategy[u] = game.edges[u][0]
     return Solution(winner, winners, strategy)
 
@@ -383,18 +378,28 @@ def topological_order(game: Game):
     return order
 
 
+def play(lts: Lts, state: int, phi: Formula, game_limit: int,
+         enum_limit: int, unfold_budget: int, size_budget: int) -> tuple:
+    """The one elim-game pipeline of `check`, `game` and `check_via_games`:
+    desugar, typecheck, check the query, eliminate fixpoints, build the
+    game from `state` and solve it, each once.  Returns the fixpoint-free
+    formula, the game and its solution."""
+    phi = syntax.desugar_vec(phi)
+    semantics.check_query(lts, state, typecheck(phi))
+    fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
+                                            size_budget)
+    game = build_game(lts, state, fp_free, game_limit, enum_limit)
+    return fp_free, game, solve(game)
+
+
 def check_via_games(lts: Lts, state: int, phi: Formula,
                     game_limit: int = DEFAULT_GAME_LIMIT,
                     enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
                     unfold_budget: int = semantics.DEFAULT_UNFOLD_BUDGET,
                     size_budget: int = semantics.DEFAULT_SIZE_BUDGET) -> bool:
-    """Eliminate fixpoints, build the game, solve; true iff state satisfies."""
-    phi = syntax.desugar_vec(phi)
-    infer(EMPTY_CONTEXT, phi)
-    fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
-                                            size_budget)
-    game = build_game(lts, state, fp_free, game_limit, enum_limit)
-    return solve(game).winner == EXISTS
+    """Whether `state` satisfies `phi`, by `play` as `check` and `game` do."""
+    return play(lts, state, phi, game_limit, enum_limit, unfold_budget,
+                size_budget)[2].winner == EXISTS
 
 
 # ---------------------------------------------------------------------------

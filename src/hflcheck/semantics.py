@@ -30,6 +30,7 @@ from . import denote, syntax
 from .denote import Denotation, Func, Ground, enumerate_lattice
 from .errors import (
     BoundBudgetError,
+    HflError,
     InternalError,
     IterationCapError,
     UnboundVariableError,
@@ -56,6 +57,7 @@ from .types import (
     HflType,
     PrType,
     Variance,
+    format_type,
     full_space_height,
     infer,
     uncurry,
@@ -542,12 +544,18 @@ def evaluate(lts: Lts, phi: Formula, cfg: EvalConfig | None = None,
     return ev.reify_value(ev.eval(phi, {}))
 
 
+def check_query(lts: Lts, state: int, ty: HflType) -> None:
+    """Refuse `state |= phi` unless phi's type `ty` is Pr and lts has state."""
+    if not isinstance(ty, PrType):
+        raise HflError(f"formula has type {format_type(ty)}, not Pr")
+    if not 0 <= state < lts.n:
+        raise HflError(f"state {state} out of range")
+
+
 def holds(lts: Lts, state: int, phi: Formula,
           cfg: EvalConfig | None = None) -> bool:
-    d = evaluate(lts, phi, cfg=cfg)
-    if not isinstance(d, Ground):
-        raise InternalError("model checking needs a ground formula")
-    return bool(d.mask >> state & 1)
+    check_query(lts, state, infer(EMPTY_CONTEXT, phi))
+    return bool(evaluate(lts, phi, cfg=cfg, typecheck=False).mask >> state & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_check_engines_agree(files):
 
 
 def test_check_typechecks_once(files, monkeypatch):
-    from hflcheck import semantics, types
+    from hflcheck import games, semantics, types
 
     _, chain, reach, _, _ = files
     calls = []
@@ -70,6 +70,28 @@ def test_check_typechecks_once(files, monkeypatch):
         assert main(["check", "--lts", str(chain), "--formula", str(reach),
                      "--state", "0", "--engine", engine]) == 0
         assert len(calls) == 1
+
+    # The elim-game pipeline typechecks before elimination once and runs
+    # every later stage once; the game builder's own typing of the
+    # fixpoint-free formula is a stage of its own and is not counted.
+    stages = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            stages.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    for module, name in ((games, "typecheck"),
+                         (semantics, "eliminate_fixpoints"),
+                         (games, "build_game"), (games, "solve")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for command in (["check", "--engine", "elim-game"], ["game"]):
+        stages.clear()
+        assert main(command + ["--lts", str(chain), "--formula", str(reach),
+                               "--state", "0"]) == 0
+        assert stages == ["typecheck", "eliminate_fixpoints", "build_game",
+                          "solve"]
 
 
 def test_check_json_deterministic(files, capsys):
@@ -242,6 +264,53 @@ def test_elim_game_enum_limit_refusal_is_exit_2(tmp_path, capsys):
     assert "error[EnumLimitError]: lattice has 256 elements, over limit 255" in err
     assert main(args + ["256"]) == 0
     assert main(args[:-2] + ["demand"]) == 0
+
+
+def test_game_limit_past_an_astronomical_bound_is_exit_2(tmp_path, capsys):
+    # The formula has order 3, so the closed-form size bound is refused
+    # even on one state; the game limit is still what stops the build.
+    loop = tmp_path / "loop.lts"
+    loop.write_text("states 1\nlabel 0 q\ntrans 0 a 0\n")
+    phi = tmp_path / "order3.hfl"
+    phi.write_text("(\\(K:(Pr -> Pr) -> Pr). K (\\(Y:Pr). <a> Y)) "
+                   "(\\(F:Pr -> Pr). F q)\n")
+    assert main(["check", "--lts", str(loop), "--formula", str(phi),
+                 "--state", "0", "--engine", "elim-game",
+                 "--game-limit", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[GameLimitError]: game grew past 5 (at 6); "
+                          "closed-form estimate over budget (bound "
+                          "astronomically large: tower(9,3)")
+
+
+def test_check_and_game_agree(files, tmp_path, capsys):
+    _, chain, reach, falsum, _ = files
+    for phi in (reach, falsum):
+        for state in ("0", "1", "2"):
+            query = ["--lts", str(chain), "--formula", str(phi),
+                     "--state", state]
+            code = main(["check", "--engine", "elim-game", "--json",
+                         "--no-timing"] + query)
+            report = json.loads(capsys.readouterr().out)
+            assert main(["game", "--dump", "json"] + query) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert report["verdict"] == (code == 0)
+            assert report["verdict"] == (doc["winner"] == "exists")
+            assert len(doc["nodes"]) == report["stats"]["game_nodes"]
+            assert len(doc["edges"]) == report["stats"]["game_edges"]
+    # A query neither can answer gets the same error line from both.
+    lam = tmp_path / "lam.hfl"
+    lam.write_text("\\(X:Pr)^+. X\n")
+    for phi, state, line in (
+        (lam, "0", "error[HflError]: formula has type Pr^+ -> Pr, not Pr\n"),
+        (reach, "3", "error[HflError]: state 3 out of range\n"),
+        (reach, "-1", "error[HflError]: state -1 out of range\n"),
+    ):
+        query = ["--lts", str(chain), "--formula", str(phi), "--state", state]
+        for command in (["check", "--engine", "elim-game"], ["check"],
+                        ["game"]):
+            assert main(command + query) == 2
+            assert capsys.readouterr().err == line
 
 
 def test_game_dump_formats(files, tmp_path, capsys):

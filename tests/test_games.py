@@ -128,6 +128,24 @@ def test_check_via_games_examples():
     assert check_via_games(gen_chain(1), 0, ff()) is False
 
 
+def test_holds_and_games_refuse_bad_queries_alike():
+    # Both procedures run the same query check before any evaluation: a
+    # state outside the model and a formula that is not of type Pr are
+    # refused with the error `hflcheck check` prints.
+    lts = gen_chain(2)
+    reach = Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
+    for state, phi, message in (
+        (2, reach, "state 2 out of range"),
+        (-1, reach, "state -1 out of range"),
+        (0, Lam("X", Variance.PLUS, PR, Var("X")),
+         "formula has type Pr^+ -> Pr, not Pr"),
+    ):
+        for decide in (holds, check_via_games):
+            with pytest.raises(HflError) as err:
+                decide(lts, state, phi)
+            assert (type(err.value), str(err.value)) == (HflError, message)
+
+
 def test_check_via_games_buffer_single_out():
     from hflcheck.encodings import buffer_formula
 
