@@ -14,8 +14,9 @@ import json
 import sys
 import time
 
-from . import denote, encodings, games, lts, semantics, surface, syntax, types
-from .errors import HflError
+from . import (denote, encodings, games, lts, pipeline, semantics, surface,
+               syntax, types)
+from .errors import HflError, over_budget
 
 REPORT_SCHEMA = "hflcheck-check-v1"
 
@@ -56,7 +57,7 @@ def cmd_check(args) -> int:
     game_nodes = game_edges = None
     bounds = {}
     if args.engine == "elim-game":
-        fp_free, game, solution = games.play(
+        fp_free, game, solution = pipeline.play(
             model, args.state, phi, args.game_limit, args.enum_limit,
             args.unfold_limit, args.size_limit)
         game_nodes, game_edges = game.node_count, game.edge_count
@@ -67,9 +68,11 @@ def cmd_check(args) -> int:
                 game_nodes <= bound and game_edges <= bound
             )
         except HflError as e:
-            bounds["game_size_bound"] = f"over budget ({e})"
+            bounds["game_size_bound"] = over_budget(e)
         verdict = solution.winner == games.EXISTS
     else:
+        # Desugared as the game path is: the engines iterate a vector
+        # fixpoint jointly, so its report's fixpoint_iterations would differ.
         verdict = semantics.holds(model, args.state, syntax.desugar_vec(phi),
                                   cfg)
     elapsed = time.monotonic() - started
@@ -114,7 +117,7 @@ def cmd_typecheck(args) -> int:
         try:
             bounds[name] = fn()
         except HflError as e:
-            bounds[name] = f"over budget ({e})"
+            bounds[name] = over_budget(e)
     if args.json:
         print(json.dumps({
             "type": types.format_type(ty),
@@ -135,9 +138,9 @@ def cmd_typecheck(args) -> int:
 def cmd_game(args) -> int:
     model = lts.load(_read(args.lts))
     phi = surface.parse_formula(_read(args.formula))
-    _, game, solution = games.play(model, args.state, phi, args.game_limit,
-                                   args.enum_limit, args.unfold_limit,
-                                   args.size_limit)
+    _, game, solution = pipeline.play(model, args.state, phi, args.game_limit,
+                                      args.enum_limit, args.unfold_limit,
+                                      args.size_limit)
     _write(args.out, games.export_game(game, args.dump, solution))
     return 0
 
@@ -306,7 +309,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HflError, OSError, ValueError) as e:
+    except HflError as e:
+        print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:

@@ -51,6 +51,11 @@ class BudgetError(HflError):
     """Base class for configured-resource refusals."""
 
 
+def over_budget(refusal: HflError) -> str:
+    """How reports show a bound that `refusal` kept from being computed."""
+    return f"over budget ({refusal})"
+
+
 class BoundBudgetError(BudgetError):
     """A quantitative bound would exceed the big-integer digit budget.
 
@@ -81,12 +86,13 @@ class UnfoldBudgetError(BudgetError):
 
 
 class GameLimitError(BudgetError):
-    def __init__(self, actual, limit, estimate):
+    def __init__(self, actual, limit, estimate, refusal=None):
         self.actual = actual
         self.limit = limit
-        self.estimate = estimate
+        self.estimate = estimate  # None when `refusal` kept it uncomputed
+        shown = estimate if refusal is None else over_budget(refusal)
         super().__init__(
-            f"game grew past {limit} (at {actual}); closed-form estimate {estimate}"
+            f"game grew past {limit} (at {actual}); closed-form estimate {shown}"
         )
 
 

@@ -1,4 +1,4 @@
-"""Reachability games for fixpoint-free formulas, and the elim-game pipeline.
+"""Reachability games for fixpoint-free formulas.
 
 A configuration node asserts that a state belongs to the current formula's
 value applied to the argument stack.  Disjunctions and diamonds branch for
@@ -32,8 +32,7 @@ from . import denote, semantics, surface, syntax
 from .errors import BoundBudgetError, GameLimitError, InternalError
 from .lts import Lts
 from .syntax import App, Dia, Formula, Lam, Mu, MuVec, Neg, Or, Prop, Var
-from .types import (EMPTY_CONTEXT, PrType, fragment, infer, tower, typecheck,
-                    uncurry)
+from .types import EMPTY_CONTEXT, PrType, fragment, infer, tower, uncurry
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -181,10 +180,10 @@ class _Builder:
         self.used += count
         if self.used > self.limit:
             try:
-                estimate = size_bound_for(self.phi, self.lts)
+                estimate, refusal = size_bound_for(self.phi, self.lts), None
             except BoundBudgetError as e:
-                estimate = f"over budget ({e})"
-            raise GameLimitError(self.limit + 1, self.limit, estimate)
+                estimate, refusal = None, e
+            raise GameLimitError(self.limit + 1, self.limit, estimate, refusal)
 
     def fan(self, idx, payload, count) -> int:
         """Give idx `count` new opponent successors; the first's index."""
@@ -337,24 +336,33 @@ def solve(game: Game) -> Solution:
 
     order = topological_order(game)
     winners = [None] * n
-    strategies: dict = {EXISTS: {}, FORALL: {}}
+    strategy_e: dict = {}
+    strategy_a: dict = {}
     for u in reversed(order):
         k = game.kinds[u]
         if k == WIN_E:
             winners[u] = EXISTS
         elif k == WIN_A:
             winners[u] = FORALL
-        else:  # the owner k wins iff one of its moves leads to a node it wins
-            winners[u] = FORALL if k == EXISTS else EXISTS
+        elif k == EXISTS:
+            winners[u] = FORALL
             for v in game.edges[u]:
-                if winners[v] == k:
-                    winners[u] = k
-                    strategies[k][u] = v
+                if winners[v] == EXISTS:
+                    winners[u] = EXISTS
+                    strategy_e[u] = v
+                    break
+        else:
+            winners[u] = EXISTS
+            for v in game.edges[u]:
+                if winners[v] == FORALL:
+                    winners[u] = FORALL
+                    strategy_a[u] = v
                     break
     winner = winners[game.start]
-    strategy = strategies[winner]
+    strategy = dict(strategy_e if winner == EXISTS else strategy_a)
+    own_kind = EXISTS if winner == EXISTS else FORALL
     for u, k in enumerate(game.kinds):
-        if k == winner and u not in strategy:
+        if k == own_kind and u not in strategy:
             strategy[u] = game.edges[u][0]
     return Solution(winner, winners, strategy)
 
@@ -378,26 +386,15 @@ def topological_order(game: Game):
     return order
 
 
-def play(lts: Lts, state: int, phi: Formula, game_limit: int,
-         enum_limit: int, unfold_budget: int, size_budget: int) -> tuple:
-    """The one elim-game pipeline of `check`, `game` and `check_via_games`:
-    desugar, typecheck, check the query, eliminate fixpoints, build the
-    game from `state` and solve it, each once.  Returns the fixpoint-free
-    formula, the game and its solution."""
-    phi = syntax.desugar_vec(phi)
-    semantics.check_query(lts, state, typecheck(phi))
-    fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
-                                            size_budget)
-    game = build_game(lts, state, fp_free, game_limit, enum_limit)
-    return fp_free, game, solve(game)
-
-
 def check_via_games(lts: Lts, state: int, phi: Formula,
                     game_limit: int = DEFAULT_GAME_LIMIT,
                     enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
                     unfold_budget: int = semantics.DEFAULT_UNFOLD_BUDGET,
                     size_budget: int = semantics.DEFAULT_SIZE_BUDGET) -> bool:
-    """Whether `state` satisfies `phi`, by `play` as `check` and `game` do."""
+    """Whether `state` satisfies `phi`, by `pipeline.play` as `check` and
+    `game` do."""
+    from .pipeline import play  # here, as pipeline imports this module
+
     return play(lts, state, phi, game_limit, enum_limit, unfold_budget,
                 size_budget)[2].winner == EXISTS
 

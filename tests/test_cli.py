@@ -82,7 +82,7 @@ def test_check_typechecks_once(files, monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    for module, name in ((games, "typecheck"),
+    for module, name in ((types, "typecheck"),
                          (semantics, "eliminate_fixpoints"),
                          (games, "build_game"), (games, "solve")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

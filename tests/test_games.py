@@ -105,6 +105,19 @@ def test_game_limit_carries_estimate():
         assert err.value.estimate >= err.value.limit == limit
     game = build_game(lts, 0, phi, limit=14_421)
     assert (game.node_count, game.edge_count) == (5_173, 9_248)
+    # At order 3 the closed-form bound is refused even on one state: the
+    # builder still reports its limit, with the refusal for the estimate.
+    loop = make_lts(1, [(0, "a", 0)], [(0, "q")])
+    pr_pr = Arrow(PR, Z, PR)
+    order3 = App(Lam("K", Z, Arrow(pr_pr, Z, PR),
+                     App(Var("K"), Lam("Y", Z, PR, Dia("a", Var("Y"))))),
+                 Lam("F", Z, pr_pr, App(Var("F"), Prop("q"))))
+    with pytest.raises(GameLimitError) as err:
+        build_game(loop, 0, order3, limit=5)
+    assert (err.value.actual, err.value.limit, err.value.estimate) == (6, 5, None)
+    assert str(err.value).startswith(
+        "game grew past 5 (at 6); closed-form estimate over budget (bound "
+        "astronomically large: tower(9,3)")
 
 
 def test_guess_domain_past_enum_limit_is_refused():
