@@ -403,21 +403,24 @@ def check_via_games(lts: Lts, state: int, phi: Formula,
 # Export
 
 
-def _node_label(game: Game, u: int) -> str:
-    """Node u's label, read off its payload: ("config", state, stack, env,
-    f) for a configuration, the shared ("guess",) or ("pick", k) else."""
-    payload = game.payloads[u]
-    if payload[0] == "config":
-        _, state, stack, _env, f = payload
-        text = surface.print_formula(f)
-        if len(text) > 40:
-            text = text[:37] + "..."
-        if stack:
-            return f"{state} ({len(stack)} args) |- {text}"
-        return f"{state} |- {text}"
-    if payload[0] == "guess":
-        return "guess"
-    return f"pick {payload[1]}"
+def _node_labels(game: Game):
+    """Each node's label in node order, read off its payload: ("config",
+    state, stack, env, f) for a configuration, the shared ("guess",) or
+    ("pick", k) else.  Each formula is printed once, however many
+    configurations hold it."""
+    texts: dict = {}  # id(f) -> f printed, cut to 40 characters
+    for payload in game.payloads:
+        if payload[0] == "config":
+            _, state, stack, _env, f = payload
+            if id(f) not in texts:
+                text = surface.print_formula(f)
+                texts[id(f)] = text if len(text) <= 40 else text[:37] + "..."
+            args = f" ({len(stack)} args)" if stack else ""
+            yield f"{state}{args} |- {texts[id(f)]}"
+        elif payload[0] == "guess":
+            yield "guess"
+        else:
+            yield f"pick {payload[1]}"
 
 
 def export_game(game: Game, fmt: str, solution: Solution | None = None) -> str:
@@ -432,8 +435,8 @@ def _export_dot(game: Game, solution) -> str:
     shapes = {EXISTS: "diamond", FORALL: "box", WIN_E: "doublecircle",
               WIN_A: "doubleoctagon"}
     lines = ["digraph game {"]
-    for u in range(game.node_count):
-        label = _node_label(game, u).replace('"', "'")
+    for u, label in enumerate(_node_labels(game)):
+        label = label.replace('"', "'")
         attrs = [f"shape={shapes[game.kinds[u]]}", f'label="{label}"']
         if solution is not None:
             color = "green" if solution.winners[u] == EXISTS else "red"
@@ -450,8 +453,8 @@ def _export_dot(game: Game, solution) -> str:
 
 def _export_json(game: Game, solution) -> str:
     nodes = []
-    for u in range(game.node_count):
-        entry = {"id": u, "kind": game.kinds[u], "label": _node_label(game, u)}
+    for u, label in enumerate(_node_labels(game)):
+        entry = {"id": u, "kind": game.kinds[u], "label": label}
         if solution is not None:
             entry["winner"] = solution.winners[u]
         nodes.append(entry)

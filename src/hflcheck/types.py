@@ -101,27 +101,8 @@ class Context:
     def __init__(self, entries=None):
         self._entries = dict(entries or {})
 
-    def lookup(self, name):
-        return self._entries.get(name)
-
-    def extend(self, name, variance, ty) -> "Context":
-        e = dict(self._entries)
-        e[name] = (variance, ty)
-        return Context(e)
-
-    def complement(self) -> "Context":
-        return Context(
-            {x: (v.complement(), t) for x, (v, t) in self._entries.items()}
-        )
-
     def items(self):
         return self._entries.items()
-
-    def __contains__(self, name):
-        return name in self._entries
-
-    def __len__(self):
-        return len(self._entries)
 
 
 EMPTY_CONTEXT = Context()
@@ -133,63 +114,100 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
     When `types_out` is given, it is filled with id(node) -> type for every
     subformula (used by game construction).  A node object shared under two
     different typings has no single entry there, so it is refused with
-    TypeError_.  Memoized on (node identity, context restricted to the
-    node's free variables), which keeps shared unfolded formulas cheap to
-    check.
+    TypeError_.
+
+    Negation flips a polarity bit instead of complementing the context:
+    `Neg` and the complement pass of a `-` or `0` application type their
+    operand at the other polarity.  A binding entered at odd polarity
+    stores its variance complemented, so a variable's effective variance
+    is the stored one, complemented iff the bit is set.  Each (effective
+    variance, type) pair gets a small int once per call, and a binding
+    keeps the ints of its pair at either polarity, made when its binder is
+    entered.
+
+    Memoized on the node's identity and the ints of its free variables'
+    bindings at the current polarity, which keeps shared unfolded formulas
+    cheap to check; a closed node is keyed by its identity alone, at either
+    polarity.  No type or variance is hashed per node.
     """
+    numbers: dict = {}  # type -> int of (+, type); (-, type), (0, type) follow
+    pairs: list = []  # int -> (effective variance, type)
+
+    def binding(v: Variance, ty: HflType, neg: bool) -> tuple:
+        """The ints, at polarity 0 and 1, of a binder of variance v entered
+        at polarity neg."""
+        plus = numbers.get(ty)
+        if plus is None:
+            plus = numbers[ty] = len(pairs)
+            pairs.extend((w, ty) for w in Variance)
+        if v is Variance.ZERO:
+            return (plus + 2, plus + 2)
+        here = plus + (v is Variance.MINUS)
+        there = plus + (v is Variance.PLUS)
+        return (there, here) if neg else (here, there)
+
+    scope = {x: binding(v, t, False) for x, (v, t) in ctx.items()}
+    unbound = (None, None)  # a name's entry outside its binders
     memo: dict = {}
 
-    def ctx_key(ctx: Context, f: Formula):
-        fvs = syntax.free_vars(f)
-        entries = [(x, v, t) for x, (v, t) in ctx.items() if x in fvs]
-        return tuple(sorted(entries))  # names are unique: compared alone
-
-    def go(ctx: Context, f: Formula) -> HflType:
+    def go(f: Formula, neg: bool) -> HflType:
         # The memo check and the rules share one function, so each level
         # of nesting takes one Python frame.
-        key = (id(f), ctx_key(ctx, f))
+        try:
+            fv = f.fv
+        except AttributeError:
+            syntax.free_vars(f)  # raises TypeError for a non-formula
+            raise
+        if fv:
+            # a node's fv set iterates in one order, so ints alone suffice
+            key = (id(f), *[scope.get(x, unbound)[neg] for x in fv])
+        else:
+            key = id(f)
         got = memo.get(key)
         if got is not None:
             return got
         if isinstance(f, Prop):
             ty = PR
         elif isinstance(f, Var):
-            ent = ctx.lookup(f.name)
-            if ent is None:
+            b = scope.get(f.name, unbound)
+            if b is unbound:
                 raise TypeError_(f"unbound variable {f.name}", f)
-            v, ty = ent
+            v, ty = pairs[b[neg]]
             if v is Variance.MINUS:
                 raise VarianceError(
                     f"variable {f.name} used at negative variance", f
                 )
         elif isinstance(f, Neg):
-            ty = go(ctx.complement(), f.body)
+            ty = go(f.body, not neg)
         elif isinstance(f, Or):
             for side in (f.left, f.right):
-                if not isinstance(go(ctx, side), PrType):
+                if not isinstance(go(side, neg), PrType):
                     raise TypeError_("disjunction over a non-ground operand", f)
             ty = PR
         elif isinstance(f, Dia):
-            if not isinstance(go(ctx, f.body), PrType):
+            if not isinstance(go(f.body, neg), PrType):
                 raise TypeError_("modality over a non-ground operand", f)
             ty = PR
         elif isinstance(f, Lam):
-            body_ty = go(ctx.extend(f.var, f.variance, f.ty), f.body)
+            outer = scope.get(f.var, unbound)
+            scope[f.var] = binding(f.variance, f.ty, neg)
+            body_ty = go(f.body, neg)
+            scope[f.var] = outer
             ty = Arrow(f.ty, f.variance, body_ty)
         elif isinstance(f, App):
-            fun_ty = go(ctx, f.func)
+            fun_ty = go(f.func, neg)
             if not isinstance(fun_ty, Arrow):
                 raise TypeError_("application of a non-function", f)
             v = fun_ty.variance
-            if v in (Variance.PLUS, Variance.ZERO):
-                got = go(ctx, f.arg)
+            if v is not Variance.MINUS:
+                got = go(f.arg, neg)
                 if got != fun_ty.arg:
                     raise TypeError_(
                         f"argument type {format_type(got)} differs from "
                         f"expected {format_type(fun_ty.arg)}", f
                     )
-            if v in (Variance.MINUS, Variance.ZERO):
-                got = go(ctx.complement(), f.arg)
+            if v is not Variance.PLUS:
+                got = go(f.arg, not neg)
                 if got != fun_ty.arg:
                     raise TypeError_(
                         f"argument type {format_type(got)} differs from "
@@ -197,7 +215,10 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                     )
             ty = fun_ty.result
         elif isinstance(f, Mu):
-            body_ty = go(ctx.extend(f.var, Variance.PLUS, f.ty), f.body)
+            outer = scope.get(f.var, unbound)
+            scope[f.var] = binding(Variance.PLUS, f.ty, neg)
+            body_ty = go(f.body, neg)
+            scope[f.var] = outer
             if body_ty != f.ty:
                 raise TypeError_(
                     f"fixpoint body has type {format_type(body_ty)}, "
@@ -205,16 +226,17 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                 )
             ty = f.ty
         elif isinstance(f, MuVec):
-            ctx2 = ctx
+            outer = [(v, scope.get(v, unbound)) for v, _, _ in f.bindings]
             for v, t, _ in f.bindings:
-                ctx2 = ctx2.extend(v, Variance.PLUS, t)
+                scope[v] = binding(Variance.PLUS, t, neg)
             for v, t, b in f.bindings:
-                body_ty = go(ctx2, b)
+                body_ty = go(b, neg)
                 if body_ty != t:
                     raise TypeError_(
                         f"component {v} has type {format_type(body_ty)}, "
                         f"declared {format_type(t)}", f
                     )
+            scope.update(outer)
             ty = f.bindings[f.index - 1][1]
         else:
             raise TypeError_(f"not a formula: {f!r}", f)
@@ -227,7 +249,7 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
                 )
         return ty
 
-    return go(ctx, phi)
+    return go(phi, False)
 
 
 def typecheck(phi: Formula) -> HflType:
@@ -235,18 +257,15 @@ def typecheck(phi: Formula) -> HflType:
 
 
 def fragment(phi: Formula):
-    """(order, maximal arity) over every type in the annotated derivation."""
+    """(order, maximal arity) over every type in the annotated derivation.
+
+    The typing table covers every binder annotation: a `Lam`'s entry is an
+    arrow from its annotation, a `Mu`'s entry is its annotation, and each
+    `MuVec` component body is typed to its declared type."""
     types: dict = {}
-    top = infer(EMPTY_CONTEXT, phi, types_out=types)
-    seen = list(types.values()) + [top]
-    for f in syntax.iter_nodes(phi):
-        if isinstance(f, (Lam, Mu)):
-            seen.append(f.ty)
-        elif isinstance(f, MuVec):
-            seen.extend(t for _, t, _ in f.bindings)
-    k = max(ord_(t) for t in seen)
-    m = max(mar(t) for t in seen)
-    return k, m
+    infer(EMPTY_CONTEXT, phi, types_out=types)
+    seen = set(types.values())
+    return max(map(ord_, seen)), max(map(mar, seen))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ from dataclasses import replace
 
 from hflcheck.denote import Func, Ground, cardinality, element_at, leq, pack
 from hflcheck.encodings import counter_formula
+from hflcheck.errors import TypeError_, VarianceError
 from hflcheck.syntax import (
+    App,
     Dia,
     Interner,
     Lam,
     Mu,
+    MuVec,
     Neg,
     Or,
     Prop,
@@ -24,16 +27,19 @@ from hflcheck.syntax import (
     and_all,
     apply_all,
     fold,
+    free_vars,
     or_all,
     rebuild,
 )
 from hflcheck.types import (
     PR,
     Arrow,
+    Context,
     PrType,
     Variance,
     big_f,
     chain_type,
+    format_type,
     full_space_cardinality,
     mar,
     ord_,
@@ -189,6 +195,107 @@ def bisim_word_oracle(lts, start: int) -> bool:
             return False
         layer = frozenset(nxt)
     return True
+
+
+def reference_infer(ctx: Context, phi, types_out: dict | None = None):
+    """The typing judgment as `types.infer` states it, with whole contexts.
+
+    A context is a dict from name to (variance, type).  `Neg` and the
+    complement pass of a `-` or `0` application type their operand under a
+    complemented copy of it, and the memo key holds its (name, variance,
+    type) entries for the node's free variables.  Same errors, in the same
+    order, and the same `types_out` table as `types.infer`.
+    """
+    memo: dict = {}
+
+    def complement(ctx: dict) -> dict:
+        return {x: (v.complement(), t) for x, (v, t) in ctx.items()}
+
+    def ctx_key(ctx: dict, f):
+        fvs = free_vars(f)
+        entries = [(x, v, t) for x, (v, t) in ctx.items() if x in fvs]
+        return tuple(sorted(entries))  # names are unique: compared alone
+
+    def go(ctx: dict, f):
+        key = (id(f), ctx_key(ctx, f))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if isinstance(f, Prop):
+            ty = PR
+        elif isinstance(f, Var):
+            ent = ctx.get(f.name)
+            if ent is None:
+                raise TypeError_(f"unbound variable {f.name}", f)
+            v, ty = ent
+            if v is Variance.MINUS:
+                raise VarianceError(
+                    f"variable {f.name} used at negative variance", f
+                )
+        elif isinstance(f, Neg):
+            ty = go(complement(ctx), f.body)
+        elif isinstance(f, Or):
+            for side in (f.left, f.right):
+                if not isinstance(go(ctx, side), PrType):
+                    raise TypeError_("disjunction over a non-ground operand", f)
+            ty = PR
+        elif isinstance(f, Dia):
+            if not isinstance(go(ctx, f.body), PrType):
+                raise TypeError_("modality over a non-ground operand", f)
+            ty = PR
+        elif isinstance(f, Lam):
+            body_ty = go({**ctx, f.var: (f.variance, f.ty)}, f.body)
+            ty = Arrow(f.ty, f.variance, body_ty)
+        elif isinstance(f, App):
+            fun_ty = go(ctx, f.func)
+            if not isinstance(fun_ty, Arrow):
+                raise TypeError_("application of a non-function", f)
+            v = fun_ty.variance
+            if v in (Variance.PLUS, Variance.ZERO):
+                got = go(ctx, f.arg)
+                if got != fun_ty.arg:
+                    raise TypeError_(
+                        f"argument type {format_type(got)} differs from "
+                        f"expected {format_type(fun_ty.arg)}", f
+                    )
+            if v in (Variance.MINUS, Variance.ZERO):
+                got = go(complement(ctx), f.arg)
+                if got != fun_ty.arg:
+                    raise TypeError_(
+                        f"argument type {format_type(got)} differs from "
+                        f"expected {format_type(fun_ty.arg)} (complement pass)", f
+                    )
+            ty = fun_ty.result
+        elif isinstance(f, Mu):
+            body_ty = go({**ctx, f.var: (Variance.PLUS, f.ty)}, f.body)
+            if body_ty != f.ty:
+                raise TypeError_(
+                    f"fixpoint body has type {format_type(body_ty)}, "
+                    f"declared {format_type(f.ty)}", f
+                )
+            ty = f.ty
+        elif isinstance(f, MuVec):
+            ctx2 = {**ctx, **{v: (Variance.PLUS, t) for v, t, _ in f.bindings}}
+            for v, t, b in f.bindings:
+                body_ty = go(ctx2, b)
+                if body_ty != t:
+                    raise TypeError_(
+                        f"component {v} has type {format_type(body_ty)}, "
+                        f"declared {format_type(t)}", f
+                    )
+            ty = f.bindings[f.index - 1][1]
+        else:
+            raise TypeError_(f"not a formula: {f!r}", f)
+        memo[key] = ty
+        if types_out is not None:
+            if types_out.setdefault(id(f), ty) != ty:
+                raise TypeError_(
+                    "shared subformula has types "
+                    f"{format_type(types_out[id(f)])} and {format_type(ty)}", f
+                )
+        return ty
+
+    return go(dict(ctx.items()), phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Deeper instances: wide challenge chains, order-3 pipeline, level-2 counters."""
 
+import functools
+
 import pytest
 
 from hflcheck.denote import full, index_of, number_repr
@@ -32,6 +34,27 @@ from hflcheck.types import PR, Arrow, Variance, big_f, chain_type
 
 Z = Variance.ZERO
 PAIR = Arrow(PR, Z, Arrow(PR, Z, PR))
+
+
+def fails_fast(depth: int):
+    """Report a RecursionError in the decorated test as a one-line failure
+    naming the nesting depth.  Formatting the traceback of thousands of
+    frames makes pytest take minutes to report the error itself; the
+    failure is raised after the handler, so no traceback is kept."""
+
+    def wrap(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            try:
+                return test(*args, **kwargs)
+            except RecursionError:
+                pass
+            pytest.fail(f"RecursionError at nesting depth {depth}",
+                        pytrace=False)
+
+        return run
+
+    return wrap
 
 
 def _two_arg_application(negated: bool):
@@ -122,6 +145,7 @@ def test_level2_quantifiers_over_one_state():
     assert ev.denotation(App(counter_formula("forall", k, p), pred)).mask == 0
 
 
+@fails_fast(12_000)
 def test_evaluator_handles_deep_nesting():
     # 6,000 Neg(Dia) pairs are 12,000 nested nodes: compiling must not
     # recurse, and evaluating may take one frame per node.  Typechecking
@@ -139,6 +163,7 @@ def test_evaluator_handles_deep_nesting():
     assert evaluate(lts, phi, typecheck=False).mask == mask
 
 
+@fails_fast(12_001)
 def test_evaluator_handles_deep_closed_applications():
     # Every application in the chain is closed and keeps its value; doing
     # so must not take a second frame per level on the first call.
@@ -150,6 +175,7 @@ def test_evaluator_handles_deep_closed_applications():
     assert evaluate(lts, phi, typecheck=False).mask == 0b11
 
 
+@fails_fast(12_000)
 def test_typechecked_evaluation_handles_deep_nesting():
     # Typechecking takes one frame per nested node, like evaluation, so
     # the same 6,000 pairs also evaluate with typechecking on.
@@ -185,18 +211,21 @@ def _leaf_under(phi):
     return phi
 
 
+@fails_fast(2 * DEEP_PAIRS)
 def test_substitute_handles_deep_nesting():
     out = substitute(_deep(Var("X")), "X", Prop("q"))
     assert _leaf_under(out) == Prop("q")
     assert not out.fv
 
 
+@fails_fast(2 * DEEP_PAIRS)
 def test_desugar_vec_handles_deep_nesting():
     body = Or(Prop("q"), Dia("a", Var("X")))
     out = desugar_vec(_deep(MuVec(1, (("X", PR, body),))))
     assert _leaf_under(out) == Mu("X", PR, body)
 
 
+@fails_fast(2 * DEEP_PAIRS)
 def test_eliminate_fixpoints_handles_deep_nesting():
     lts = gen_chain(2)
     mu = Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
@@ -205,16 +234,19 @@ def test_eliminate_fixpoints_handles_deep_nesting():
     assert evaluate(lts, leaf) == evaluate(lts, mu)
 
 
+@fails_fast(2 * DEEP_PAIRS)
 def test_tree_size_handles_deep_nesting():
     assert tree_size(_deep(Prop("q"))) == 2 * DEEP_PAIRS + 1
 
 
+@fails_fast(2 * DEEP_PAIRS)
 def test_print_formula_handles_deep_nesting():
     text = print_formula(_deep(Prop("q")))
     assert _leaf_under(parse_formula(text)) == Prop("q")
 
 
 @pytest.mark.parametrize("prefix, node", [("<a> ", Dia), ("!", Neg)])
+@fails_fast(30_000)
 def test_parse_formula_handles_long_prefix_runs(prefix, node):
     # A run of prefixes is read in a loop, so 30,000 take no frame each.
     phi = parse_formula(prefix * 30_000 + "q")
@@ -224,6 +256,7 @@ def test_parse_formula_handles_long_prefix_runs(prefix, node):
     assert phi == Prop("q")
 
 
+@fails_fast(3_000)
 def test_parse_formula_handles_deep_parentheses():
     # Three frames per level keep 3,000 levels under the recursion limit.
     assert parse_formula("(" * 3_000 + "q" + ")" * 3_000) == Prop("q")

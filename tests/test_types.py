@@ -1,11 +1,31 @@
 """Typing judgment, fragments, and the quantitative bounds."""
 
+import random
+
 import pytest
 
 from hflcheck.encodings import counter_formula, machine_formula, tape_formulas
 from hflcheck.errors import BoundBudgetError, TypeError_, VarianceError
-from hflcheck.syntax import App, Dia, Lam, Mu, Neg, Or, Prop, Var, iff
+from hflcheck.syntax import (
+    App,
+    Dia,
+    Formula,
+    Lam,
+    Mu,
+    MuVec,
+    Neg,
+    Or,
+    Prop,
+    Var,
+    desugar_vec,
+    fold,
+    iff,
+    iter_nodes,
+    rebuild,
+    substitute,
+)
 from hflcheck.types import (
+    EMPTY_CONTEXT,
     PR,
     Arrow,
     Context,
@@ -28,6 +48,8 @@ from hflcheck.types import (
 )
 
 import machines
+import randgen
+from oracles import reference_infer
 
 Z = Variance.ZERO
 P = Variance.PLUS
@@ -178,12 +200,6 @@ def test_budget_refusal_carries_symbolic_form():
         full_space_cardinality(chain_type(4), 8)
 
 
-def test_context_complement_involution():
-    ctx = Context({"X": (P, PR), "Y": (Variance.MINUS, PR), "Z": (Z, PR)})
-    again = ctx.complement().complement()
-    assert dict(again.items()) == dict(ctx.items())
-
-
 def test_format_type():
     assert format_type(Arrow(PR, Z, PR)) == "Pr^0 -> Pr"
     nested = Arrow(Arrow(PR, P, PR), Variance.MINUS, PR)
@@ -203,3 +219,199 @@ def test_typed_corpus_evaluates_to_ground():
         )
         assert isinstance(typecheck(phi), PrType)
         assert isinstance(evaluate(lts, phi), Ground)
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: `infer` against `oracles.reference_infer`
+
+FUN = Arrow(PR, Z, PR)
+GROUND_FUN = Lam("W", Z, PR, Prop("p"))
+NEXT_VARIANCE = {P: Variance.MINUS, Variance.MINUS: Z, Z: P}
+
+
+class _Junk(Formula):
+    """A formula node outside the nine constructors."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        object.__setattr__(self, "fv", frozenset())
+
+
+def _outcome(infer_fn, ctx, phi, table):
+    """The type, or the error's class, message and offending node."""
+    try:
+        return infer_fn(ctx, phi, types_out=table)
+    except TypeError_ as e:
+        return type(e), str(e), id(e.formula)
+    except TypeError as e:  # a non-formula root, refused by free_vars
+        return type(e), str(e)
+
+
+def _judge_alike(ctx, phi) -> list:
+    """Both judgments on phi, without and with a typing table; they must
+    give the same outcome and the same table.  Returns the outcomes."""
+    outcomes = []
+    for table, ref_table in ((None, None), ({}, {})):
+        got = _outcome(infer, ctx, phi, table)
+        want = _outcome(reference_infer, ctx, phi, ref_table)
+        assert got == want
+        assert table == ref_table
+        outcomes.append(got)
+    return outcomes
+
+
+def _raise_site(outcome) -> str | None:
+    if not isinstance(outcome, tuple):
+        return None
+    cls, message = outcome[:2]
+    if cls is VarianceError:
+        return "negative variance"
+    if cls is TypeError:
+        return "non-formula root"
+    for start in ("unbound variable", "disjunction", "modality",
+                  "application", "fixpoint body", "component",
+                  "not a formula", "shared subformula"):
+        if message.startswith(start):
+            return start
+    assert message.startswith("argument type"), message
+    if message.endswith("(complement pass)"):
+        return "argument, complement pass"
+    return "argument"
+
+
+RAISE_SITES = {
+    "unbound variable", "negative variance", "disjunction", "modality",
+    "application", "argument", "argument, complement pass",
+    "fixpoint body", "component", "not a formula", "shared subformula",
+    "non-formula root",
+}
+
+
+def _random_formulas(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        depth = 3 + i % 3
+        yield rng, randgen.random_hfl_formula(
+            rng, randgen.HoGenConfig(max_depth=depth))
+
+
+def _with_annotations(phi):
+    """(order, arity) over the typing table and every binder annotation."""
+    table: dict = {}
+    seen = [reference_infer(EMPTY_CONTEXT, phi, types_out=table)]
+    seen += table.values()
+    for f in iter_nodes(phi):
+        if isinstance(f, (Lam, Mu)):
+            seen.append(f.ty)
+        elif isinstance(f, MuVec):
+            seen.extend(t for _, t, _ in f.bindings)
+    return max(map(ord_, seen)), max(map(mar, seen))
+
+
+def _shared_variants(rng, phi):
+    """Well-typed rewrites of phi that share nodes: a fixpoint unfolded
+    once, a vector fixpoint in place of a `Mu`, and a ground node used
+    under both polarities."""
+    table: dict = {}
+    infer(EMPTY_CONTEXT, phi, types_out=table)
+    nodes = list(iter_nodes(phi))
+    out = []
+    for f in nodes:
+        if isinstance(f, Mu):
+            out.append(_replace(phi, f, substitute(f.body, f.var, f)))
+            out.append(_replace(phi, f, MuVec(1, (
+                (f.var, f.ty, f.body), ("W", f.ty, f.body)))))
+            break
+    ground = [f for f in nodes if table[id(f)] == PR and not f.fv]
+    if ground:
+        g = rng.choice(ground)
+        out.append(_replace(phi, g, Or(g, Neg(g))))
+    return out
+
+
+def _replace(phi, target, new):
+    return fold(phi, lambda f, kids: new if f is target else rebuild(f, kids))
+
+
+def _mutants(rng, phi):
+    """Rewrites of the well-typed phi aimed at each raise site of `infer`."""
+    table: dict = {}
+    infer(EMPTY_CONTEXT, phi, types_out=table)
+    nodes = list(iter_nodes(phi))
+
+    def pick(cls):
+        found = [f for f in nodes if isinstance(f, cls)]
+        return rng.choice(found) if found else None
+
+    n = rng.choice(nodes)
+    out = [
+        _replace(phi, n, Var("Unbound")),
+        _replace(phi, n, Neg(n)),
+        _replace(phi, n, Or(n, Neg(n))),
+        _replace(phi, n, _Junk()),
+        MuVec(1, (("W0", PR, phi), ("W1", FUN, Prop("p")))),
+    ]
+    if (f := pick(Lam)) is not None:
+        out.append(_replace(phi, f, Lam(f.var, NEXT_VARIANCE[f.variance],
+                                        f.ty, f.body)))
+    if (f := pick(Or)) is not None:
+        out.append(_replace(phi, f, Or(f.left, GROUND_FUN)))
+    if (f := pick(Dia)) is not None:
+        out.append(_replace(phi, f, Dia(f.action, GROUND_FUN)))
+    if (f := pick(App)) is not None:
+        wrong = Prop("p") if table[id(f.arg)] != PR else GROUND_FUN
+        out.append(_replace(phi, f, App(Prop("p"), f.arg)))
+        out.append(_replace(phi, f, App(f.func, wrong)))
+    if (f := pick(Mu)) is not None:
+        other = FUN if f.ty == PR else PR
+        out.append(_replace(phi, f, Mu(f.var, other, f.body)))
+    # one Var object bound at two types: well typed, but refused with a table
+    x = pick(Var) or Var("S")
+    out.append(Or(phi, App(Lam(x.name, Z, FUN, App(x, Prop("p"))),
+                           Lam(x.name, Z, PR, x))))
+    return out
+
+
+def test_infer_matches_reference_on_random_formulas():
+    typed = 0
+    for rng, phi in _random_formulas(1201, 300):
+        for f in [phi] + _shared_variants(rng, phi):
+            outcomes = _judge_alike(EMPTY_CONTEXT, f)
+            assert outcomes == [PR, PR]
+            assert fragment(f) == _with_annotations(f)
+            flat = desugar_vec(f)
+            assert fragment(flat) == _with_annotations(flat)
+            typed += 1
+    assert typed > 600
+
+
+def test_infer_matches_reference_on_mutants():
+    sites: set = set()
+    for rng, phi in _random_formulas(1202, 300):
+        for mutant in _mutants(rng, phi):
+            for outcome in _judge_alike(EMPTY_CONTEXT, mutant):
+                sites.add(_raise_site(outcome))
+        # an open subformula under a drawn context, one name sometimes left out
+        open_nodes = [f for f in iter_nodes(phi) if f.fv]
+        if open_nodes:
+            f = rng.choice(open_nodes)
+            names = sorted(f.fv)[rng.random() < 0.2:]
+            ctx = Context({x: (rng.choice(list(Variance)), rng.choice((PR, FUN)))
+                           for x in names})
+            for outcome in _judge_alike(ctx, f):
+                sites.add(_raise_site(outcome))
+    for outcome in _judge_alike(EMPTY_CONTEXT, "p"):
+        sites.add(_raise_site(outcome))
+    assert sites - {None} == RAISE_SITES
+
+
+def test_infer_matches_reference_on_encodings():
+    corpus = [counter_formula(name, k, 2)
+              for name in ("inc", "dec", "eq", "lt", "gt", "exists", "forall")
+              for k in (0, 1)]
+    corpus += [machine_formula(m, 0, 2, word)
+               for m in machines.CORPUS.values() for word in (None, (True,))]
+    for phi in corpus:
+        ty = typecheck(phi)
+        assert _judge_alike(EMPTY_CONTEXT, phi) == [ty, ty]
