@@ -62,7 +62,7 @@ def cmd_check(args) -> int:
             args.unfold_limit, args.size_limit)
         game_nodes, game_edges = game.node_count, game.edge_count
         try:
-            bound = games.size_bound_for(fp_free, model)
+            bound = games.size_bound_for(fp_free, model, game.order_arity)
             bounds["game_size_bound"] = str(bound)
             bounds["game_within_bound"] = (
                 game_nodes <= bound and game_edges <= bound
@@ -71,10 +71,7 @@ def cmd_check(args) -> int:
             bounds["game_size_bound"] = over_budget(e)
         verdict = solution.winner == games.EXISTS
     else:
-        # Desugared as the game path is: the engines iterate a vector
-        # fixpoint jointly, so its report's fixpoint_iterations would differ.
-        verdict = semantics.holds(model, args.state, syntax.desugar_vec(phi),
-                                  cfg)
+        verdict = semantics.holds(model, args.state, phi, cfg)
     elapsed = time.monotonic() - started
 
     if args.json:
@@ -104,10 +101,10 @@ def cmd_check(args) -> int:
 
 def cmd_typecheck(args) -> int:
     phi = surface.parse_formula(_read(args.formula))
-    phi_flat = syntax.desugar_vec(phi)
-    ty = types.typecheck(phi_flat)
-    size, lam_vars = syntax.measures(phi_flat)
-    k, m = types.fragment(phi_flat)
+    table: dict = {}
+    ty = types.infer(types.EMPTY_CONTEXT, phi, table)
+    size, lam_vars = syntax.measures(phi)
+    k, m = types.fragment(table)
     bounds = {}
     for name, fn in (
         ("lattice_size", lambda: types.lattice_size_bound(ty, args.states)),

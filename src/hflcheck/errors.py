@@ -77,12 +77,12 @@ class EnumLimitError(BudgetError):
 
 
 class UnfoldBudgetError(BudgetError):
-    def __init__(self, required, budget):
+    """Elimination of one fixpoint refused; `demand` is what it needs."""
+
+    def __init__(self, required, budget, demand):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"fixpoint elimination needs {required} unfoldings, over budget {budget}"
-        )
+        super().__init__(f"fixpoint elimination {demand}, over budget {budget}")
 
 
 class GameLimitError(BudgetError):

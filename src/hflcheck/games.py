@@ -53,6 +53,7 @@ class Game:
     edges: list
     start: int
     lts: Lts
+    order_arity: tuple  # `types.fragment` of the formula played
 
     @property
     def node_count(self):
@@ -83,10 +84,11 @@ def game_size_bound(n: int, size: int, k: int, m: int, v: int) -> int:
     return base * t ** (2 * (m + v))
 
 
-def size_bound_for(phi: Formula, lts: Lts) -> int:
-    """The bound above instantiated with the formula's own measures."""
+def size_bound_for(phi: Formula, lts: Lts, order_arity: tuple) -> int:
+    """The bound above instantiated with the formula's own measures;
+    `order_arity` is its `types.fragment`, as a `Game` records it."""
     size, v = syntax.measures(phi)
-    k, m = fragment(phi)
+    k, m = order_arity
     return game_size_bound(lts.n, size, k, m, v)
 
 
@@ -180,7 +182,8 @@ class _Builder:
         self.used += count
         if self.used > self.limit:
             try:
-                estimate, refusal = size_bound_for(self.phi, self.lts), None
+                estimate, refusal = size_bound_for(
+                    self.phi, self.lts, fragment(self.types)), None
             except BoundBudgetError as e:
                 estimate, refusal = None, e
             raise GameLimitError(self.limit + 1, self.limit, estimate, refusal)
@@ -226,7 +229,8 @@ class _Builder:
                 self.expand_guess(*item)
             else:
                 self.expand_pick(*item)
-        return Game(self.kinds, self.payloads, self.edges, start, self.lts)
+        return Game(self.kinds, self.payloads, self.edges, start, self.lts,
+                    fragment(self.types))
 
     def expand_config(self, idx):
         _, state, stack, env, f = self.payloads[idx]

@@ -596,10 +596,10 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
 
     Each mu is replaced by its h-fold approximant at h = the exact height
     of the full-space lattice of its type, which dominates the monotone
-    height, so the approximant already equals the fixpoint.
+    height, so the approximant already equals the fixpoint.  Vector
+    fixpoints are first rewritten into nested ones by `desugar_vec`.
     """
-    if syntax.contains_muvec(phi):
-        raise ValueError("desugar vector fixpoints before elimination")
+    phi = syntax.desugar_vec(phi)
     n = lts.n
 
     def step(f: Formula, kids) -> Formula:
@@ -607,13 +607,15 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
             return syntax.rebuild(f, kids)
         h = full_space_height(f.ty, n)
         if h > unfold_budget:
-            raise UnfoldBudgetError(h, unfold_budget)
+            raise UnfoldBudgetError(h, unfold_budget, f"needs {h} unfoldings")
         acc = _zero_approximant(f.ty)
         for _ in range(h):
             acc = substitute(kids[0], f.var, acc)
         size = syntax.dag_size(acc)
         if size > size_budget:
-            raise UnfoldBudgetError(size, size_budget)
+            raise UnfoldBudgetError(
+                size, size_budget,
+                f"of mu {f.var} needs {size} distinct nodes")
         return acc
 
     out = syntax.fold(phi, step)

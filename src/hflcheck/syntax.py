@@ -132,7 +132,8 @@ class Mu(Formula):
 class MuVec(Formula):
     """Simultaneous least fixpoint; `index` selects a component, 1-based.
 
-    Sugar over nested Mu: `desugar_vec` removes every MuVec node.
+    Typed and evaluated as written; `desugar_vec` rewrites it into nested
+    Mu for fixpoint elimination and the closure.
     """
 
     index: int
@@ -333,10 +334,6 @@ def lambda_binder_names(phi: Formula) -> frozenset:
     return frozenset(f.var for f in iter_nodes(phi) if isinstance(f, Lam))
 
 
-def contains_muvec(phi: Formula) -> bool:
-    return any(isinstance(f, MuVec) for f in iter_nodes(phi))
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -470,9 +467,9 @@ def fl_closure(phi: Formula):
 def _closure_reps(phi: Formula) -> list:
     """One representative per alpha-class of the closure.  Classes are
     told apart by canonical id, never by structural hashing, which walks
-    the whole unfolded tree of a shared DAG."""
-    if contains_muvec(phi):
-        raise ValueError("fl_closure requires a vector-fixpoint-free formula")
+    the whole unfolded tree of a shared DAG.  A vector fixpoint stands
+    for its Bekic form, so the closure is that of `desugar_vec(phi)`."""
+    phi = desugar_vec(phi)
     interner = Interner()
     reps: dict = {}
     work = []

@@ -256,14 +256,13 @@ def typecheck(phi: Formula) -> HflType:
     return infer(EMPTY_CONTEXT, phi)
 
 
-def fragment(phi: Formula):
-    """(order, maximal arity) over every type in the annotated derivation.
+def fragment(types: dict):
+    """(order, maximal arity) over every type in a derivation, given the
+    table that `infer` filled with `types_out`.
 
-    The typing table covers every binder annotation: a `Lam`'s entry is an
-    arrow from its annotation, a `Mu`'s entry is its annotation, and each
-    `MuVec` component body is typed to its declared type."""
-    types: dict = {}
-    infer(EMPTY_CONTEXT, phi, types_out=types)
+    The table covers every binder annotation: a `Lam`'s entry is an arrow
+    from its annotation, a `Mu`'s entry is its annotation, and each `MuVec`
+    component body is typed to its declared type."""
     seen = set(types.values())
     return max(map(ord_, seen)), max(map(mar, seen))
 

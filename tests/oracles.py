@@ -32,6 +32,7 @@ from hflcheck.syntax import (
     rebuild,
 )
 from hflcheck.types import (
+    EMPTY_CONTEXT,
     PR,
     Arrow,
     Context,
@@ -40,7 +41,9 @@ from hflcheck.types import (
     big_f,
     chain_type,
     format_type,
+    fragment,
     full_space_cardinality,
+    infer,
     mar,
     ord_,
 )
@@ -300,6 +303,13 @@ def reference_infer(ctx: Context, phi, types_out: dict | None = None):
 
 # ---------------------------------------------------------------------------
 # Helpers only the tests use
+
+
+def fragment_of(phi):
+    """`types.fragment` of the closed formula phi's typing table."""
+    table: dict = {}
+    infer(EMPTY_CONTEXT, phi, types_out=table)
+    return fragment(table)
 
 
 def empty(n: int) -> Ground:

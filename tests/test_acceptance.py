@@ -177,7 +177,7 @@ def test_criterion_03_and_04_game_pipeline():
         except Exception:
             acyclic_ok = False
             break
-        bound = size_bound_for(flat, lts)
+        bound = size_bound_for(flat, lts, game.order_arity)
         if game.node_count > bound or game.edge_count > bound:
             bound_ok = False
             break

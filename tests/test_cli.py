@@ -14,6 +14,7 @@ from hflcheck.encodings import format_atm
 from hflcheck.lts import gen_counter_lts, load
 
 import machines
+import oracles
 
 
 @pytest.fixture()
@@ -92,6 +93,34 @@ def test_check_typechecks_once(files, monkeypatch):
                                "--state", "0"]) == 0
         assert stages == ["typecheck", "eliminate_fixpoints", "build_game",
                           "solve"]
+
+
+def test_each_command_types_each_formula_once(files, monkeypatch, capsys):
+    # An elim-game check types the formula and the fixpoint-free one; the
+    # report's size bound reads the game builder's typing table, as the
+    # typecheck command's order and arity read the one typing it makes.
+    from hflcheck import games, semantics, types
+
+    _, chain, reach, _, _ = files
+    typed = []
+    real = types.infer
+
+    def counting(*args, **kwargs):
+        typed.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (types, semantics, games):
+        monkeypatch.setattr(module, "infer", counting)
+    query = ["--lts", str(chain), "--formula", str(reach), "--state", "0"]
+    for command, count in (
+            (["check", "--engine", "elim-game", "--json"] + query, 2),
+            (["check", "--engine", "naive"] + query, 1),
+            (["game"] + query, 2),
+            (["typecheck", "--json", "--formula", str(reach)], 1)):
+        typed.clear()
+        assert main(command) == 0
+        capsys.readouterr()
+        assert len(typed) == count == len(set(map(id, typed))), command
 
 
 def test_check_json_deterministic(files, capsys):
@@ -323,3 +352,96 @@ def test_game_dump_formats(files, tmp_path, capsys):
     assert main(["game", "--lts", str(chain), "--formula", str(reach),
                  "--state", "0", "--dump", "dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+@pytest.fixture()
+def two_states(tmp_path):
+    model = tmp_path / "two.lts"
+    model.write_text("states 2\ntrans 0 a 1\nlabel 1 q\n")
+    return model
+
+
+def test_non_monotone_vector_fixpoint_is_refused_everywhere(
+        two_states, tmp_path, capsys):
+    # Y occurs negatively in X's component.  Its Bekic form types, since
+    # there Y's fixpoint is closed before the negation; the system as
+    # written does not, and every command types it as written.
+    phi = tmp_path / "antitone.hfl"
+    phi.write_text("fix 1 (X:Pr. !Y; Y:Pr. q)\n")
+    line = "error[VarianceError]: variable Y used at negative variance\n"
+    query = ["--lts", str(two_states), "--formula", str(phi), "--state", "0"]
+    for command in (["check", "--engine", "naive"],
+                    ["check", "--engine", "demand"],
+                    ["check", "--engine", "elim-game"],
+                    ["game"]):
+        assert main(command + query) == 2
+        assert capsys.readouterr() == ("", line)
+    assert main(["typecheck", "--formula", str(phi)]) == 2
+    assert capsys.readouterr() == ("", line)
+
+
+def test_size_limit_refusal_counts_distinct_nodes_of_a_named_fixpoint(
+        two_states, tmp_path, capsys):
+    phi = tmp_path / "reach.hfl"
+    phi.write_text("mu (X:Pr). q | <a> X\n")
+    query = ["check", "--lts", str(two_states), "--formula", str(phi),
+             "--state", "0", "--engine", "elim-game"]
+    assert main(query + ["--size-limit", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error[UnfoldBudgetError]: fixpoint elimination of mu X needs 12 "
+        "distinct nodes, over budget 5\n")
+    assert main(query + ["--unfold-limit", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error[UnfoldBudgetError]: fixpoint elimination needs 3 unfoldings, "
+        "over budget 2\n")
+    assert main(query + ["--size-limit", "12"]) == 0
+
+
+def test_typecheck_json_types_a_vector_fixpoint_as_written(capsys, tmp_path):
+    from hflcheck.surface import parse_formula
+    from hflcheck.syntax import desugar_vec, measures
+
+    text = "fix 1 (F:Pr^0 -> Pr. \\(Y:Pr)^0. Y | <a> F Y; X:Pr. F q | X)\n"
+    phi = tmp_path / "vec.hfl"
+    phi.write_text(text)
+    assert main(["typecheck", "--formula", str(phi), "--json",
+                 "--states", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    vec = parse_formula(text)
+    size, lam_vars = measures(desugar_vec(vec))
+    assert (doc["type"], doc["order"], doc["arity"]) == ("Pr^0 -> Pr", 1, 1)
+    assert (doc["order"], doc["arity"]) == oracles.fragment_of(vec)
+    assert (doc["closure_size"], doc["lambda_vars"]) == (size, lam_vars)
+    assert doc["bounds"]["lattice_size"] == "65536"
+    assert set(doc["bounds"]) == {"lattice_size", "height", "type_count"}
+
+
+def test_check_of_a_missing_file_is_exit_2(two_states, tmp_path, capsys):
+    missing = str(tmp_path / "missing.hfl")
+    for query in (["--lts", str(two_states), "--formula", missing],
+                  ["--lts", missing, "--formula", str(two_states)]):
+        assert main(["check", "--state", "0"] + query) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[FileNotFoundError]:") and missing in err
+
+
+@pytest.mark.parametrize("name", sorted(machines.CORPUS))
+def test_engines_agree_on_compiled_machines(name, capsys, tmp_path):
+    # A compiled machine is one vector fixpoint, which both evaluation
+    # engines solve jointly: the tabulating one iterates every component's
+    # table together, the demand one solves the components locally.  (Its
+    # game outgrows the default game limit.)
+    from hflcheck.encodings import atm_accepts
+
+    machine = tmp_path / "m.atm"
+    machine.write_text(format_atm(machines.CORPUS[name]))
+    for word in ("t", "f"):
+        base = tmp_path / f"{name}-{word}"
+        assert main(["atm", "compile", "--machine", str(machine), "--k", "0",
+                     "--p", "2", "--word", word, "-o", str(base)]) == 0
+        capsys.readouterr()
+        want = atm_accepts(machines.CORPUS[name], (word == "t",), 4)
+        for engine in ("naive", "demand"):
+            code = main(["check", "--lts", f"{base}.lts", "--formula",
+                         f"{base}.hfl", "--state", "0", "--engine", engine])
+            assert code == (0 if want else 1), (word, engine)

@@ -32,7 +32,7 @@ from hflcheck.lts import (
 )
 from hflcheck.semantics import Evaluator, evaluate, holds
 from hflcheck.syntax import App, Neg, apply_all, desugar_vec, ff, tt
-from hflcheck.types import big_f, fragment, typecheck
+from hflcheck.types import big_f, typecheck
 
 import machines
 import oracles
@@ -195,17 +195,17 @@ def test_exists_forall_two_valued():
 
 def test_corpus_orders_and_arities():
     # remark-level facts; level 0 has smaller arities, recorded here
-    assert fragment(counter_formula("inc", 0, 2)) == (1, 1)
-    assert fragment(counter_formula("inc", 1, 2)) == (2, 2)
-    assert fragment(counter_formula("eq", 0, 2)) == (1, 2)
-    assert fragment(counter_formula("eq", 1, 2)) == (2, 2)
-    assert fragment(counter_formula("exists", 0, 2)) == (2, 1)
-    assert fragment(counter_formula("exists", 1, 2)) == (3, 2)
+    assert oracles.fragment_of(counter_formula("inc", 0, 2)) == (1, 1)
+    assert oracles.fragment_of(counter_formula("inc", 1, 2)) == (2, 2)
+    assert oracles.fragment_of(counter_formula("eq", 0, 2)) == (1, 2)
+    assert oracles.fragment_of(counter_formula("eq", 1, 2)) == (2, 2)
+    assert oracles.fragment_of(counter_formula("exists", 0, 2)) == (2, 1)
+    assert oracles.fragment_of(counter_formula("exists", 1, 2)) == (3, 2)
     tp = tape_formulas(0, 2, ())
-    assert fragment(tp.read[True]) == (2, 2)
-    assert fragment(tp.write[False]) == (2, 3)
-    assert fragment(tp.head0) == (0, 0)
-    assert fragment(tape_formulas(1, 2, ()).head0) == (1, 1)
+    assert oracles.fragment_of(tp.read[True]) == (2, 2)
+    assert oracles.fragment_of(tp.write[False]) == (2, 3)
+    assert oracles.fragment_of(tp.head0) == (0, 0)
+    assert oracles.fragment_of(tape_formulas(1, 2, ()).head0) == (1, 1)
 
 
 def test_tape_read_write_move_exhaustive_small():

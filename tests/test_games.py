@@ -9,7 +9,13 @@ import weakref
 import pytest
 
 from hflcheck.encodings import chi_formula, counter_formula
-from hflcheck.errors import BudgetError, EnumLimitError, GameLimitError, HflError
+from hflcheck.errors import (
+    BudgetError,
+    EnumLimitError,
+    GameLimitError,
+    HflError,
+    VarianceError,
+)
 from hflcheck.games import (
     EXISTS,
     FORALL,
@@ -29,6 +35,7 @@ from hflcheck.syntax import (
     Dia,
     Lam,
     Mu,
+    MuVec,
     Neg,
     Or,
     Prop,
@@ -157,6 +164,18 @@ def test_holds_and_games_refuse_bad_queries_alike():
             with pytest.raises(HflError) as err:
                 decide(lts, state, phi)
             assert (type(err.value), str(err.value)) == (HflError, message)
+
+
+def test_holds_and_games_type_a_vector_fixpoint_as_written():
+    # Y occurs negatively in X's component: the system is not monotone and
+    # both procedures refuse it, though its Bekic form would type.
+    lts = make_lts(2, [(0, "a", 1)], [(1, "q")])
+    vec = MuVec(1, (("X", PR, Neg(Var("Y"))), ("Y", PR, Prop("q"))))
+    assert typecheck(desugar_vec(vec)) == PR
+    for decide in (holds, check_via_games):
+        with pytest.raises(VarianceError) as err:
+            decide(lts, 0, vec)
+        assert str(err.value) == "variable Y used at negative variance"
 
 
 def test_check_via_games_buffer_single_out():

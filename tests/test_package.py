@@ -77,3 +77,32 @@ def test_benchmark_api_resolves():
                                        **dict.fromkeys(keywords))
         except TypeError as e:
             raise AssertionError(f"{where}: {owner}.{name}: {e}") from None
+
+
+def _desugar_callers(tree, where):
+    """Where `tree` calls desugar_vec: the innermost enclosing function,
+    or `where` itself at module level."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _desugar_callers(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and "desugar_vec" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            out.add(where)
+        out |= _desugar_callers(node, where)
+    return out
+
+
+def test_only_elimination_and_the_closure_desugar_vector_fixpoints():
+    # Every other stage types and evaluates a vector fixpoint as written;
+    # typing its Bekic form instead would admit systems that are not
+    # monotone, where the rewrite is unsound.
+    callers = set()
+    for path in sorted((ROOT / "src" / "hflcheck").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {f"{path.stem}.{fn}"
+                    for fn in _desugar_callers(tree, "<module>")}
+    assert callers == {"semantics.eliminate_fixpoints",
+                       "syntax._closure_reps"}

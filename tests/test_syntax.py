@@ -228,6 +228,35 @@ def test_desugar_three_bindings_matches_native():
             )
 
 
+def test_nu_over_a_vector_fixpoint_decides_as_its_desugaring():
+    # nu substitutes !X into the fix, so the vector node is rebuilt around
+    # its new component body; all three procedures read it as written.
+    from hflcheck.games import check_via_games
+    from hflcheck.surface import parse_formula
+
+    phi = parse_formula("nu (X:Pr). fix 1 (Y:Pr. q & X | <a> Y)")
+    assert any(isinstance(f, MuVec) for f in iter_nodes(phi))
+    rng = random.Random(48)
+    for _ in range(20):
+        lts = randgen.random_lts(rng, 3)
+        want = oracles.mu_check(lts, desugar_vec(phi))
+        for engine in ("demand", "tabulate"):
+            got = semantics.evaluate(lts, phi,
+                                     semantics.EvalConfig(engine=engine))
+            assert set(got.states()) == want
+        assert {s for s in range(lts.n)
+                if check_via_games(lts, s, phi)} == want
+
+
+def test_substitution_into_a_vector_fixpoint_renames_a_capturing_binder():
+    vec = MuVec(1, (("Y", PR, Or(Var("Z"), Dia("a", Var("Y")))),))
+    got = substitute(vec, "Z", Var("Y"))
+    ((y2, ty, body),) = got.bindings
+    assert y2 != "Y" and ty == PR and got.index == 1
+    assert body == Or(Var("Y"), Dia("a", Var(y2)))
+    assert free_vars(got) == {"Y"}
+
+
 def test_muvec_validation():
     with pytest.raises(ValueError):
         MuVec(0, (("X", PR, Var("X")),))
@@ -254,6 +283,11 @@ def test_nu_substitutes_negated_variable():
     assert got == Neg(Mu("X", PR, Neg(Dia("a", Neg(Var("X"))))))
 
 
-def test_fl_closure_rejects_vectors():
-    with pytest.raises(ValueError):
-        fl_closure(MuVec(1, (("X", PR, Var("X")),)))
+def test_closure_of_a_vector_fixpoint_is_that_of_its_desugaring():
+    vec = MuVec(2, (("X", PR, Or(Prop("q"), Dia("a", Var("Y")))),
+                    ("Y", PR, Dia("b", Var("X")))))
+    for phi in (vec, Neg(vec), Lam("F", Z, PR, Or(Var("F"), vec))):
+        flat = desugar_vec(phi)
+        assert fl_closure(phi) == fl_closure(flat)
+        assert measures(phi) == measures(flat)
+        assert measures(phi)[0] > 3

@@ -34,7 +34,6 @@ from hflcheck.types import (
     big_f,
     chain_type,
     format_type,
-    fragment,
     full_space_cardinality,
     full_space_height,
     height_bound,
@@ -49,7 +48,7 @@ from hflcheck.types import (
 
 import machines
 import randgen
-from oracles import reference_infer
+from oracles import fragment_of, reference_infer
 
 Z = Variance.ZERO
 P = Variance.PLUS
@@ -131,20 +130,20 @@ def test_ord_mar_examples():
 def test_fragment_of_corpus_formulas():
     for k in (0, 1):
         inc = counter_formula("inc", k, 2)
-        got_k, got_m = fragment(inc)
+        got_k, got_m = fragment_of(inc)
         assert got_k == k + 1
         assert got_m == (1 if k == 0 else 2)
     tp = tape_formulas(0, 2, (True,))
-    assert fragment(tp.read[True]) == (2, 2)
-    assert fragment(tp.write[True])[0] == 2
-    assert fragment(tp.write[True])[1] == 3
+    assert fragment_of(tp.read[True]) == (2, 2)
+    assert fragment_of(tp.write[True])[0] == 2
+    assert fragment_of(tp.write[True])[1] == 3
 
 
 def test_machine_formula_fragment():
     phi = machine_formula(machines.CELL0, 0, 2, (True,))
-    assert fragment(phi) == (2, 3)
+    assert fragment_of(phi) == (2, 3)
     phi_wordless = machine_formula(machines.CELL0, 0, 2, None)
-    k, m = fragment(phi_wordless)
+    k, m = fragment_of(phi_wordless)
     assert (k, m) == (2, 5)
 
 
@@ -379,9 +378,9 @@ def test_infer_matches_reference_on_random_formulas():
         for f in [phi] + _shared_variants(rng, phi):
             outcomes = _judge_alike(EMPTY_CONTEXT, f)
             assert outcomes == [PR, PR]
-            assert fragment(f) == _with_annotations(f)
+            assert fragment_of(f) == _with_annotations(f)
             flat = desugar_vec(f)
-            assert fragment(flat) == _with_annotations(flat)
+            assert fragment_of(flat) == _with_annotations(flat)
             typed += 1
     assert typed > 600
 
