@@ -10,7 +10,8 @@ polarity.  The opponent's tuple choice is decomposed into a chain of
 single choices, which preserves winners because every link belongs to the
 opponent.  Terminals are classified by the literal winning conditions,
 including stuck modalities.  Every move strictly shrinks the formula, so
-the graph is a DAG and backward induction solves it in one pass.
+the graph is a DAG and backward induction solves it in one pass, which
+walks the nodes from the highest index down (see `solve`).
 
 Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
@@ -19,8 +20,15 @@ value's entry at some arguments out of the index.  Only configurations are
 hash-consed, keyed by the state, the argument stack and the values of the
 formula's free variables; guess and pick nodes are made once, by their
 parent.  A challenge's outcomes depend on the guess only through its entry
-at the picked arguments, so each application node shares one outcome list
+at the picked arguments, so each application node shares one outcome tuple
 among all guesses that agree there.
+
+Successors are tuples of node indices, which the cyclic garbage collector
+stops tracking, so a large game costs full collections little.  The
+builder expands nodes depth first from one stack; a fan of guess or pick
+nodes is one stack item that hands out its nodes one at a time, in the
+order in which single items for each would be popped, and node numbers
+follow that order.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ DEFAULT_GAME_LIMIT = 10**7
 @dataclass
 class Game:
     """Node u has kind kinds[u], label data payloads[u] and successors
-    edges[u].  Edge lists are read-only: nodes may share one list (every
-    terminal, and the challenge leaves with equal outcomes)."""
+    edges[u], a tuple of node indices in move order.  Nodes may share one
+    tuple (every terminal its empty one, and the challenge leaves with
+    equal outcomes)."""
 
     kinds: list
     payloads: list
@@ -116,9 +125,11 @@ class _Builder:
         self.payloads: list = []
         self.edges: list = []
         self.index: dict = {}  # configuration key -> node
-        self.pending: list = []  # configuration nodes, guess and pick items
+        # Configuration nodes to expand, and fans of guess or pick nodes,
+        # each a [work, first, left, ...] item that hands out nodes first
+        # .. first + left - 1 from the last down.
+        self.pending: list = []
         self.used = 0
-        self.no_moves: list = []
 
     def target(self, f: Formula, negate=False) -> tuple:
         """f, negated if asked (one Neg per f), and its sorted free names."""
@@ -190,31 +201,37 @@ class _Builder:
 
     def fan(self, idx, payload, count) -> int:
         """Give idx `count` new opponent successors; the first's index."""
-        self.charge(2 * count)
+        self.used += 2 * count
+        if self.used > self.limit:
+            self.charge(0)
         first = len(self.kinds)
         self.kinds.extend([FORALL] * count)
         self.payloads.extend([payload] * count)
         self.edges.extend([None] * count)
-        self.edges[idx] = list(range(first, first + count))
+        self.edges[idx] = tuple(range(first, first + count))
         return first
 
     def config(self, state, stack, env, target):
         """The node for `state` in f applied to `stack` under `env`.
 
         `target` is f with its sorted free variables, `stack` a tuple of
-        argument indices and `env` maps variable names to indices; the
-        key holds only f's free variables.
+        argument indices and `env` maps variable names to indices.  The
+        key's last part is what f and `env` fix: the values of f's free
+        variables only, and f's identity.
         """
         f, names = target
-        key = (state, stack, tuple([env[x] for x in names]), id(f))
+        key = (state, stack, (tuple([env[x] for x in names]), id(f)))
         got = self.index.get(key)
-        if got is None:
-            got = self.index[key] = len(self.kinds)
-            self.kinds.append(None)
-            self.payloads.append(("config", state, stack, env, f))
-            self.edges.append(None)
-            self.used += 1
-            self.pending.append(got)
+        return self.add(key, env, f) if got is None else got
+
+    def add(self, key, env, f) -> int:
+        """A new configuration node under `key`, queued for expansion."""
+        got = self.index[key] = len(self.kinds)
+        self.kinds.append(None)
+        self.payloads.append(("config", key[0], key[1], env, f))
+        self.edges.append(None)
+        self.used += 1
+        self.pending.append(got)
         return got
 
     def build(self, start_state):
@@ -222,13 +239,14 @@ class _Builder:
         self.charge(0)
         pending = self.pending
         while pending:
-            item = pending.pop()
+            item = pending[-1]
             if type(item) is int:
+                pending.pop()
                 self.expand_config(item)
             elif len(item) == 3:
-                self.expand_guess(*item)
+                self.expand_guess(item)
             else:
-                self.expand_pick(*item)
+                self.expand_pick(item)
         return Game(self.kinds, self.payloads, self.edges, start, self.lts,
                     fragment(self.types))
 
@@ -240,78 +258,163 @@ class _Builder:
         tag, data, _ = entry
         config = self.config
         if tag == "prop":
-            kind, out = data[state], self.no_moves
+            kind, out = data[state], ()
         elif tag == "var":
             name, widths, win, lose = data
             val = env[name]
             for a, w in zip(stack, widths):
                 val = denote.entry_index(val, a, w)
-            kind, out = (win if val >> state & 1 else lose), self.no_moves
+            kind, out = (win if val >> state & 1 else lose), ()
         elif tag == "or":
             kind = data[0]
-            out = [config(state, (), env, data[1]),
-                   config(state, (), env, data[2])]
+            out = (config(state, (), env, data[1]),
+                   config(state, (), env, data[2]))
         elif tag == "dia":
             succs = self.lts.successors(state, data[2])
             kind = data[0] if succs else data[1]
-            out = [config(t, (), env, data[3]) for t in succs] or self.no_moves
+            out = tuple([config(t, (), env, data[3]) for t in succs])
         elif tag == "lam":
             env2 = dict(env)
             env2[data[0]] = stack[0]
-            kind, out = EXISTS, [config(state, stack[1:], env2, data[1])]
+            kind, out = EXISTS, (config(state, stack[1:], env2, data[1]),)
         elif tag == "neg":
-            kind, out = EXISTS, [config(state, stack, env, data)]
+            kind, out = EXISTS, (config(state, stack, env, data),)
         else:  # an application: the proponent guesses the argument
             self.kinds[idx] = EXISTS
             count = data[3][0]
             first = self.fan(idx, _GUESS, count)
-            work = (state, stack, env, data, {})
-            self.pending.extend([(work, gi, first + gi) for gi in range(count)])
+            # What every guess and challenge of this node reads: the
+            # configuration, its compiled data, the outcomes shared among
+            # guesses, and the last key parts (see `config`) of the
+            # function, the argument and the negated argument.
+            work = (state, stack, env, data, {}, *[
+                (tuple([env[x] for x in names]), id(g))
+                for g, names in data[:3]])
+            self.pending.append([work, first, count])
             return
         self.kinds[idx] = kind
         self.edges[idx] = out
         self.charge(len(out))
 
-    def expand_guess(self, work, gi, idx):
-        """The opponent pushes guess gi onto the function's stack, or
-        starts to challenge it."""
-        state, stack, env, app, _ = work
-        out = [self.config(state, (gi,) + stack, env, app[0])]  # function
+    def expand_guess(self, item):
+        """The opponent pushes the fan's next guess gi onto the function's
+        stack, or starts to challenge it at a pick root, expanded here."""
+        work, first, gi = item
+        gi -= 1
+        if gi:
+            item[2] = gi
+        else:
+            self.pending.pop()
+        state, stack, env, app, outcomes, part, _, _ = work
+        key = (state, (gi,) + stack, part)
+        function = self.index.get(key)
+        if function is None:
+            function = self.add(key, env, app[0][0])
         root = len(self.kinds)
         self.kinds.append(FORALL)
         self.payloads.append(app[5][0])  # ("pick", 0)
         self.edges.append(None)
-        self.pending.append((work, gi, (), root))
-        out.append(root)
-        self.edges[idx] = out
+        self.edges[first + gi] = (function, root)
         self.used += 3
         if self.used > self.limit:
             self.charge(0)
-
-    def expand_pick(self, work, gi, hs, idx):
-        """The opponent picks the next challenge argument or, all picked,
-        a state and whether the guessed value holds there."""
-        _, _, env, app, outcomes = work
-        _, arg, negarg, sizes, widths, picks = app
-        k = len(hs) + 1
-        if k < len(sizes):
-            first = self.fan(idx, picks[k], sizes[k])
-            self.pending.extend([(work, gi, hs + (hi,), first + hi)
-                                 for hi in range(sizes[k])])
+        if len(app[3]) > 1:
+            self.pick_fan(work, gi, (), root)
             return
-        # The outcomes depend on the guess only through its value at hs,
-        # so every guess that agrees there shares one list of them.
-        for a, w in zip(hs, widths):
-            gi = denote.entry_index(gi, a, w)
-        out = outcomes.get((hs, gi))
+        # A ground argument: the root picks the state at once.
+        out = outcomes.get(gi)
         if out is None:
-            out = outcomes[hs, gi] = [
-                self.config(t, hs, env, arg if gi >> t & 1 else negarg)
-                for t in range(self.lts.n)]
-        self.edges[idx] = out
+            out = outcomes[gi] = self.challenge(work, (), gi)
+        self.edges[root] = out
         self.used += len(out)
         if self.used > self.limit:
             self.charge(0)
+
+    def pick_fan(self, work, gi, hs, idx):
+        """Give pick node idx, at arguments hs picked so far, the choices
+        of the next argument, and queue them."""
+        _, _, _, sizes, _, picks = work[3]
+        k = len(hs) + 1
+        first = self.fan(idx, picks[k], sizes[k])
+        item = [work, first, sizes[k], gi, hs]
+        self.pending.append(item)
+        if k + 1 == len(sizes):
+            self.leaves(item, True)
+
+    def expand_pick(self, item):
+        """The fan's next pick node fans out the choices of the argument
+        after it, or the fan's leaves are filled."""
+        work, first, hi, gi, hs = item
+        if len(hs) + 2 == len(work[3][3]):
+            self.leaves(item, False)
+            return
+        hi -= 1
+        if hi:
+            item[2] = hi
+        else:
+            self.pending.pop()
+        self.pick_fan(work, gi, hs + (hi,), first + hi)
+
+    def leaves(self, item, fresh):
+        """Fill the item's leaves, which pick the last argument, from the
+        last down until one makes a configuration: that is expanded before
+        the next leaf.  A `fresh` fan whose leaves all reuse outcomes is
+        filled at once."""
+        work, first, left, gi, hs = item
+        widths = work[3][4]
+        for a, w in zip(hs, widths):
+            gi = denote.entry_index(gi, a, w)
+        w = widths[-1]
+        mask = (1 << w) - 1
+        # The outcomes depend on the guess only through its value at the
+        # picked arguments, so every guess that agrees there shares them.
+        outcomes = work[4]
+        shared = outcomes.get(hs)
+        if shared is None:
+            shared = outcomes[hs] = {}
+        n = self.lts.n
+        edges = self.edges
+        if fresh:
+            outs = [shared.get(hi << w | gi >> hi * w & mask)
+                    for hi in range(left)]
+            if None not in outs:
+                edges[first:first + left] = outs
+                self.pending.pop()
+                self.charge(n * left)
+                return
+        kinds = self.kinds
+        while left:
+            left -= 1
+            if not left:
+                self.pending.pop()
+            g = gi >> left * w & mask
+            key = left << w | g
+            out = shared.get(key)
+            made = len(kinds)
+            if out is None:
+                out = shared[key] = self.challenge(work, hs + (left,), g)
+            edges[first + left] = out
+            self.used += n
+            if self.used > self.limit:
+                self.charge(0)
+            if made != len(kinds):
+                break
+        item[2] = left
+
+    def challenge(self, work, picked, g) -> tuple:
+        """Where a challenge at arguments `picked` of a guess whose value
+        there is g leads: the opponent picks a state t and the argument,
+        negated unless t is in g, continues at t."""
+        _, _, env, app, _, _, part, negpart = work
+        index = self.index
+        out = []
+        for t in range(self.lts.n):
+            pos = g >> t & 1
+            key = (t, picked, part if pos else negpart)
+            got = index.get(key)
+            out.append(self.add(key, env, app[1 if pos else 2][0])
+                       if got is None else got)
+        return tuple(out)
 
 
 def build_game(lts: Lts, start_state: int, phi: Formula,
@@ -329,65 +432,61 @@ def build_game(lts: Lts, start_state: int, phi: Formula,
 
 
 def solve(game: Game) -> Solution:
-    """Backward induction over the DAG; linear in the edge count."""
-    n = game.node_count
-    for u, k in enumerate(game.kinds):
-        if k in (WIN_E, WIN_A):
-            if game.edges[u]:
-                raise InternalError("terminal node with outgoing edges")
-        elif not game.edges[u]:
-            raise InternalError("non-terminal node without moves")
+    """Backward induction in one pass, from the highest node down.
 
-    order = topological_order(game)
-    winners = [None] * n
-    strategy_e: dict = {}
-    strategy_a: dict = {}
-    for u in reversed(order):
-        k = game.kinds[u]
-        if k == WIN_E:
-            winners[u] = EXISTS
-        elif k == WIN_A:
-            winners[u] = FORALL
-        elif k == EXISTS:
-            winners[u] = FORALL
-            for v in game.edges[u]:
-                if winners[v] == EXISTS:
-                    winners[u] = EXISTS
-                    strategy_e[u] = v
-                    break
-        else:
-            winners[u] = EXISTS
-            for v in game.edges[u]:
-                if winners[v] == FORALL:
-                    winners[u] = FORALL
-                    strategy_a[u] = v
-                    break
+    A builder's moves mostly lead to higher nodes, which the pass has
+    settled already.  A node with a successor it has not (a hash-consed
+    configuration made earlier) is opened: it waits on an explicit stack
+    under its unsettled successors, which are settled first the same way.
+    Reaching an open node again is a cycle.  Every edge is read to see
+    that it is settled, and each node's owner takes its first winning
+    successor in edge order: linear in nodes plus edges.
+    """
+    kinds, edges = game.kinds, game.edges
+    winners: list = [None] * len(kinds)  # False while open
+    strategies: dict = {EXISTS: {}, FORALL: {}}  # per owner, of its nodes
+    stack: list = []
+    for u in range(len(kinds) - 1, -1, -1):
+        while True:
+            if not winners[u]:
+                succs = edges[u]
+                k = kinds[u]
+                if k == WIN_E or k == WIN_A:
+                    if succs:
+                        raise InternalError("terminal node with outgoing edges")
+                    winners[u] = EXISTS if k == WIN_E else FORALL
+                elif not succs:
+                    raise InternalError("non-terminal node without moves")
+                else:
+                    owner = EXISTS if k == EXISTS else FORALL
+                    first = None
+                    for v in succs:
+                        won = winners[v]
+                        if not won:
+                            break
+                        if won is owner and first is None:
+                            first = v
+                    if not won:  # open u under its unsettled successors
+                        winners[u] = False
+                        stack.append(u)
+                        for v in succs:
+                            if winners[v] is None:
+                                stack.append(v)
+                            elif winners[v] is False:
+                                raise InternalError(
+                                    "game graph has a cycle; plays must be "
+                                    "finite")
+                    elif first is None:  # u's owner loses; any move does
+                        winners[u] = FORALL if owner == EXISTS else EXISTS
+                        strategies[owner][u] = succs[0]
+                    else:
+                        winners[u] = owner
+                        strategies[owner][u] = first
+            if not stack:
+                break
+            u = stack.pop()
     winner = winners[game.start]
-    strategy = dict(strategy_e if winner == EXISTS else strategy_a)
-    own_kind = EXISTS if winner == EXISTS else FORALL
-    for u, k in enumerate(game.kinds):
-        if k == own_kind and u not in strategy:
-            strategy[u] = game.edges[u][0]
-    return Solution(winner, winners, strategy)
-
-
-def topological_order(game: Game):
-    indeg = [0] * game.node_count
-    for succs in game.edges:
-        for v in succs:
-            indeg[v] += 1
-    stack = [u for u in range(game.node_count) if indeg[u] == 0]
-    order = []
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in game.edges[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
-    if len(order) != game.node_count:
-        raise InternalError("game graph has a cycle; plays must be finite")
-    return order
+    return Solution(winner, winners, strategies[winner])
 
 
 def check_via_games(lts: Lts, state: int, phi: Formula,

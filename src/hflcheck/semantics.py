@@ -607,7 +607,8 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
             return syntax.rebuild(f, kids)
         h = full_space_height(f.ty, n)
         if h > unfold_budget:
-            raise UnfoldBudgetError(h, unfold_budget, f"needs {h} unfoldings")
+            raise UnfoldBudgetError(h, unfold_budget,
+                                    f"of mu {f.var} needs {h} unfoldings")
         acc = _zero_approximant(f.ty)
         for _ in range(h):
             acc = substitute(kids[0], f.var, acc)

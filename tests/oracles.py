@@ -11,7 +11,8 @@ from dataclasses import replace
 
 from hflcheck.denote import Func, Ground, cardinality, element_at, leq, pack
 from hflcheck.encodings import counter_formula
-from hflcheck.errors import TypeError_, VarianceError
+from hflcheck.errors import InternalError, TypeError_, VarianceError
+from hflcheck.games import EXISTS, FORALL, WIN_A, WIN_E, Solution
 from hflcheck.syntax import (
     App,
     Dia,
@@ -390,3 +391,66 @@ def share_closed(phi):
         return g if g.fv else shared.setdefault(g, g)
 
     return fold(phi, step)
+
+
+def topological_order(game):
+    """The game's nodes in an order where every move goes forward (Kahn's
+    algorithm); refused for a graph with a cycle."""
+    indeg = [0] * game.node_count
+    for succs in game.edges:
+        for v in succs:
+            indeg[v] += 1
+    stack = [u for u in range(game.node_count) if indeg[u] == 0]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in game.edges[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    if len(order) != game.node_count:
+        raise InternalError("game graph has a cycle; plays must be finite")
+    return order
+
+
+def reference_solve(game) -> Solution:
+    """Backward induction along `topological_order` reversed, after a
+    separate pass over the kinds: the solver `games.solve` is checked
+    against."""
+    for u, k in enumerate(game.kinds):
+        if k in (WIN_E, WIN_A):
+            if game.edges[u]:
+                raise InternalError("terminal node with outgoing edges")
+        elif not game.edges[u]:
+            raise InternalError("non-terminal node without moves")
+    winners = [None] * game.node_count
+    strategy_e: dict = {}
+    strategy_a: dict = {}
+    for u in reversed(topological_order(game)):
+        k = game.kinds[u]
+        if k == WIN_E:
+            winners[u] = EXISTS
+        elif k == WIN_A:
+            winners[u] = FORALL
+        elif k == EXISTS:
+            winners[u] = FORALL
+            for v in game.edges[u]:
+                if winners[v] == EXISTS:
+                    winners[u] = EXISTS
+                    strategy_e[u] = v
+                    break
+        else:
+            winners[u] = EXISTS
+            for v in game.edges[u]:
+                if winners[v] == FORALL:
+                    winners[u] = FORALL
+                    strategy_a[u] = v
+                    break
+    winner = winners[game.start]
+    strategy = dict(strategy_e if winner == EXISTS else strategy_a)
+    own_kind = EXISTS if winner == EXISTS else FORALL
+    for u, k in enumerate(game.kinds):
+        if k == own_kind and u not in strategy:
+            strategy[u] = game.edges[u][0]
+    return Solution(winner, winners, strategy)

@@ -21,7 +21,7 @@ from hflcheck.encodings import (
     tape_formulas,
 )
 from hflcheck.errors import BudgetError
-from hflcheck.games import build_game, size_bound_for, solve, topological_order
+from hflcheck.games import build_game, size_bound_for, solve
 from hflcheck.games import EXISTS
 from hflcheck.lts import (
     gen_chain,
@@ -173,7 +173,7 @@ def test_criterion_03_and_04_game_pipeline():
             skipped += 1
             continue
         try:
-            topological_order(game)
+            oracles.topological_order(game)
         except Exception:
             acyclic_ok = False
             break

@@ -392,8 +392,8 @@ def test_size_limit_refusal_counts_distinct_nodes_of_a_named_fixpoint(
         "distinct nodes, over budget 5\n")
     assert main(query + ["--unfold-limit", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error[UnfoldBudgetError]: fixpoint elimination needs 3 unfoldings, "
-        "over budget 2\n")
+        "error[UnfoldBudgetError]: fixpoint elimination of mu X needs 3 "
+        "unfoldings, over budget 2\n")
     assert main(query + ["--size-limit", "12"]) == 0
 
 

@@ -14,6 +14,7 @@ from hflcheck.errors import (
     EnumLimitError,
     GameLimitError,
     HflError,
+    InternalError,
     VarianceError,
 )
 from hflcheck.games import (
@@ -21,12 +22,12 @@ from hflcheck.games import (
     FORALL,
     WIN_A,
     WIN_E,
+    Game,
     build_game,
     check_via_games,
     export_game,
     game_size_bound,
     solve,
-    topological_order,
 )
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import EvalConfig, eliminate_fixpoints, evaluate, holds
@@ -198,7 +199,7 @@ def test_solved_game_assigns_every_node():
             continue
         sol = solve(game)
         assert all(w in (EXISTS, FORALL) for w in sol.winners)
-        topological_order(game)  # acyclic
+        oracles.topological_order(game)  # acyclic
 
 
 def test_strategy_replay_fuzz():
@@ -224,6 +225,66 @@ def test_strategy_replay_fuzz():
             won_by = EXISTS if game.kinds[node] == WIN_E else FORALL
             assert won_by == sol.winner
         games_done += 1
+
+
+def _random_games(seed, count):
+    """`count` games over random 2-state systems and formulas, drawn with
+    the strategy replay fuzz's generator and budgets."""
+    rng = random.Random(seed)
+    while count:
+        lts = randgen.random_lts(rng, 2)
+        phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=3))
+        try:
+            flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
+            yield build_game(lts, 0, flat, 10**5)
+        except BudgetError:
+            continue
+        count -= 1
+
+
+def _assert_solves_like_reference(game):
+    got, want = solve(game), oracles.reference_solve(game)
+    assert (got.winner, got.winners, got.strategy) == (
+        want.winner, want.winners, want.strategy)
+
+
+def test_solve_matches_reference_solve_on_random_games():
+    for game in _random_games(7, 200):
+        _assert_solves_like_reference(game)
+
+
+@pytest.mark.parametrize("name,i,j", [("eq", 0, 3), ("gt", 1, 3)],
+                         ids=["eq(0,3)", "gt(1,3)"])
+def test_solve_matches_reference_solve_on_small_corpus_games(name, i, j):
+    lts, fp_free = _counter_corpus_game(name, i, j)
+    for state in range(lts.n):
+        _assert_solves_like_reference(build_game(lts, state, fp_free))
+
+
+def _hand_game(kinds, edges):
+    return Game(kinds, [None] * len(kinds), [tuple(e) for e in edges], 0,
+                gen_chain(1), (0, 0))
+
+
+@pytest.mark.parametrize("kinds,edges,message", [
+    ([EXISTS, WIN_E, WIN_A], [[1], [2], []],
+     "terminal node with outgoing edges"),
+    ([FORALL, EXISTS, WIN_E], [[1, 2], [], []],
+     "non-terminal node without moves"),
+    ([EXISTS, FORALL], [[1], [0]],
+     "game graph has a cycle; plays must be finite"),
+    # The cycle runs through a move its owner would not take: node 0 wins
+    # by its first move, to the terminal.
+    ([EXISTS, FORALL, WIN_E], [[2, 1], [0], []],
+     "game graph has a cycle; plays must be finite"),
+], ids=["terminal-with-moves", "stuck-non-terminal", "cycle",
+        "cycle-past-a-winning-move"])
+def test_solve_refuses_malformed_games(kinds, edges, message):
+    game = _hand_game(kinds, edges)
+    for decide in (solve, oracles.reference_solve):
+        with pytest.raises(InternalError) as err:
+            decide(game)
+        assert str(err.value) == message
 
 
 def test_game_agrees_with_eval_random():
@@ -370,29 +431,53 @@ def _counter_corpus_game(name, i=None, j=None, p=2):
     return lts, eliminate_fixpoints(flat, lts)
 
 
-@pytest.mark.parametrize("name,i,j,nodes,edges,winner", [
-    ("eq", 0, 3, 367, 500, FORALL),
-    ("gt", 1, 3, 1_153, 1_847, FORALL),
-    ("exists", None, None, 108_251, 224_204, EXISTS),
+def _structure_digest(game, solution):
+    """sha256 over the kinds, the edges (as tuples, in order), the start and
+    the winners: what an export pins but the labels, for games too big to
+    export in a test."""
+    text = repr((game.kinds, [tuple(e) for e in game.edges], game.start,
+                 solution.winners))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,i,j,nodes,edges,winner,digests", [
+    ("eq", 0, 3, 367, 500, FORALL, None),
+    ("gt", 1, 3, 1_153, 1_847, FORALL, None),
+    ("exists", None, None, 108_251, 224_204, EXISTS,
+     ("2dc61205b60e82b22780730aaa2685d3ed7bd80df68149370bdfd167edd31190",
+      "147b080516c12c3c54df9de0071bcab0341aa8b2d4011a0644edc037bd6853ab")),
 ], ids=["eq(0,3)", "gt(1,3)", "exists(eq max)"])
-def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner):
+def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner,
+                                              digests):
     # A builder that builds a different game may still reach the right
-    # verdict, so the sizes of a few counter-corpus games are pinned too.
-    # Configurations are keyed by node identity, so the sizes also pin how
-    # the eliminated formula shares its subformulas.
+    # verdict, so the sizes of a few counter-corpus games are pinned too,
+    # and the structure of a big one, whose builds take the hot paths the
+    # small exported games below hardly reach.  Configurations are keyed
+    # by node identity, so the sizes also pin how the eliminated formula
+    # shares its subformulas.
     lts, fp_free = _counter_corpus_game(name, i, j)
     for state in range(lts.n):
         game = build_game(lts, state, fp_free)
         assert (game.node_count, game.edge_count) == (nodes, edges)
-        assert solve(game).winner == winner
+        sol = solve(game)
+        assert sol.winner == winner
+        if digests is not None:
+            assert _structure_digest(game, sol) == digests[state]
 
 
 def test_forall_eq_max_game_size_is_pinned():
     # The corpus game in which guesses share challenge outcomes the most.
     lts, fp_free = _counter_corpus_game("forall")
-    game = build_game(lts, 0, fp_free)
-    assert (game.node_count, game.edge_count) == (508_123, 1_209_548)
-    assert solve(game).winner == FORALL
+    digests = (
+        "c48dde00fa4b670b2c535910762c28f2f426efacd377556fb7f29cf75e8d4331",
+        "ebcce9414bd37263857c7f4a58ea40ddeb6a376757bacebdc43c1978aac2bb3a")
+    for state, digest in enumerate(digests):
+        game = build_game(lts, state, fp_free)
+        assert (game.node_count, game.edge_count) == (508_123, 1_209_548)
+        sol = solve(game)
+        assert sol.winner == FORALL
+        assert _structure_digest(game, sol) == digest
+        del game, sol
 
 
 @pytest.mark.parametrize("name,i,j,digests", [
