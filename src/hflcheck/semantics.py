@@ -9,8 +9,13 @@ without recursion, with the evaluator's table of compiled nodes as its
 closed application, lambda or fixpoint (one without free variables, as
 the node itself records) keeps its value in its own closure cell, so it
 is evaluated once per evaluator, not once per argument or iteration of an
-enclosing lambda or fixpoint.  Fixpoint elimination is another fold: it
-rebuilds the formula and replaces each mu by its unfolding.
+enclosing lambda or fixpoint.  A proposition, and a negation, disjunction
+or diamond over such constants only, is folded: it is evaluated when
+compiled, and its closure returns that state set and carries it as its
+`value`.  A negation over a disjunction or diamond compiles with it into
+one closure, and a double negation is its operand's closure.  Fixpoint
+elimination is another fold: it rebuilds the formula and replaces each mu
+by its unfolding.
 
 The `demand` engine keeps every lambda value as a closure that computes a
 result when applied and, over a small domain, memoizes it by the
@@ -353,10 +358,7 @@ class Evaluator:
         full = self._full_mask
         closed = not phi.fv
         if isinstance(phi, Prop):
-            value = ground(self.prop_mask(phi.name))
-
-            def run(env):
-                return value
+            return _constant(ground(self.prop_mask(phi.name)))
         elif isinstance(phi, Var):
             name = phi.name
 
@@ -369,17 +371,45 @@ class Evaluator:
                     return v.solver.read(v.comp, v.args)
                 return v
         elif isinstance(phi, Neg):
-            body = kids[0]
-            complement = self.complement_value
+            const = getattr(kids[0], "value", None)
+            if const is not None:
+                return _constant(ground(const.mask ^ full))
+            inner = phi.body
+            if isinstance(inner, Neg):
+                return self._compiled[id(inner.body)][1]
+            if isinstance(inner, Or):
+                left_run = self._compiled[id(inner.left)][1]
+                right_run = self._compiled[id(inner.right)][1]
 
-            def run(env):
-                v = body(env)
-                if type(v) is Ground:
-                    m = v.mask ^ full
+                def run(env):
+                    left = left_run(env)
+                    if left.mask == full:  # skips the right, as Or does
+                        return grounds.get(0) or ground(0)
+                    m = (left.mask | right_run(env).mask) ^ full
                     return grounds.get(m) or ground(m)
-                return complement(v)
+            elif isinstance(inner, Dia):
+                body = self._compiled[id(inner.body)][1]
+                by_target = self._pred_masks.get(inner.action) or [0] * self.n
+
+                def run(env):
+                    m = _pre_image(by_target, body(env).mask) ^ full
+                    return grounds.get(m) or ground(m)
+            else:
+                body = kids[0]
+                complement = self.complement_value
+
+                def run(env):
+                    v = body(env)
+                    if type(v) is Ground:
+                        m = v.mask ^ full
+                        return grounds.get(m) or ground(m)
+                    return complement(v)
         elif isinstance(phi, Or):
             left_run, right_run = kids
+            left_value = getattr(left_run, "value", None)
+            right_value = getattr(right_run, "value", None)
+            if left_value is not None and right_value is not None:
+                return _constant(ground(left_value.mask | right_value.mask))
 
             def run(env):
                 left = left_run(env)
@@ -395,6 +425,9 @@ class Evaluator:
         elif isinstance(phi, Dia):
             body = kids[0]
             by_target = self._pred_masks.get(phi.action) or [0] * self.n
+            const = getattr(body, "value", None)
+            if const is not None:
+                return _constant(ground(_pre_image(by_target, const.mask)))
 
             def run(env):
                 m = _pre_image(by_target, body(env).mask)
@@ -441,9 +474,13 @@ class Evaluator:
                     return FixRef(solver, index0, ())
         # A closed node's value does not depend on the environment, so a
         # closed application, lambda or fixpoint keeps it once made.  A
-        # proposition is a constant, and a closed Neg, Or or Dia costs a
-        # few bit operations per node down to such kept values; wrapping
-        # those as well would take a second frame per level of nesting.
+        # proposition, and a Neg, Or or Dia over such constants only, was
+        # folded above: evaluated now, its closure returns that Ground.
+        # Any other closed Neg, Or or Dia costs a few bit operations per
+        # node down to kept values; wrapping those as well would take a
+        # second frame per level of nesting.  A Neg over an Or or a Dia
+        # runs its operand's operands itself, and a Neg over a Neg is the
+        # inner operand's closure, so a negation takes no call of its own.
         if closed and isinstance(phi, (Lam, Mu, MuVec)):
             return _once(run)
         return run
@@ -487,6 +524,17 @@ class Evaluator:
 
     def denotation(self, phi: Formula) -> Denotation:
         return self.reify_value(self.eval_closed(phi))
+
+
+def _constant(value):
+    """The closure of a node whose value is `value` in every environment;
+    `value` stays readable as its attribute, so parents can fold too."""
+
+    def run(env):
+        return value
+
+    run.value = value
+    return run
 
 
 def _once(run):

@@ -148,14 +148,34 @@ def test_level2_quantifiers_over_one_state():
 @fails_fast(12_000)
 def test_evaluator_handles_deep_nesting():
     # 6,000 Neg(Dia) pairs are 12,000 nested nodes: compiling must not
-    # recurse, and evaluating may take one frame per node.  Typechecking
-    # takes two frames per node, so it is left out here.
+    # recurse.  The chain is closed, so compiling folds it to its value;
+    # the open twin below evaluates it at run time.  Typechecking is left
+    # out here; it takes one frame per node, as the typechecked test
+    # below shows.
     lts = gen_counter_lts(2)
     pairs = 6_000
     phi = Prop("q")
     for _ in range(pairs):
         phi = Neg(Dia("lower", phi))
     # q holds nowhere; [lower] over the one lower edge 1 -> 0 alternates.
+    mask = 0
+    for _ in range(pairs):
+        pre = 0b10 if mask & 0b01 else 0
+        mask = pre ^ 0b11
+    assert evaluate(lts, phi, typecheck=False).mask == mask
+
+
+@fails_fast(12_000)
+def test_evaluator_handles_deep_open_nesting():
+    # The same chain over a lambda-bound variable is not folded: the
+    # lambda's body evaluates it when applied to q, at most one frame per
+    # nested node.
+    lts = gen_counter_lts(2)
+    pairs = 6_000
+    phi = Var("Y")
+    for _ in range(pairs):
+        phi = Neg(Dia("lower", phi))
+    phi = App(Lam("Y", Z, PR, phi), Prop("q"))
     mask = 0
     for _ in range(pairs):
         pre = 0b10 if mask & 0b01 else 0

@@ -6,7 +6,10 @@ import inspect
 import pathlib
 
 import hflcheck
+from hflcheck.lts import gen_chain
 from hflcheck.semantics import Evaluator
+from hflcheck.syntax import App, Dia, Lam, Neg, Or, Prop, Var
+from hflcheck.types import PR, Variance
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # The benchmark's modules that call the package; read here, never changed.
@@ -106,3 +109,15 @@ def test_only_elimination_and_the_closure_desugar_vector_fixpoints():
                     for fn in _desugar_callers(tree, "<module>")}
     assert callers == {"semantics.eliminate_fixpoints",
                        "syntax._closure_reps"}
+
+
+def test_evaluator_keeps_no_further_tables():
+    # Compiled closures carry folded constants themselves, so folding adds
+    # no table to the evaluator, least of all one keyed by node identity
+    # beside `_compiled` and `_typed_roots`.
+    ev = Evaluator(gen_chain(2))
+    body = Neg(Or(Var("Y"), Neg(Dia("a", Prop("q")))))
+    ev.denotation(App(Lam("Y", Variance.ZERO, PR, body), Prop("p")))
+    assert set(vars(ev)) == {
+        "lts", "n", "_full_mask", "cfg", "_prop_masks", "_pred_masks",
+        "_compiled", "_typed_roots", "_grounds", "_enums"}

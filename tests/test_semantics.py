@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from hflcheck import semantics
 from hflcheck.denote import Func, element_at, full, index_of, number_repr
 from hflcheck.errors import (
+    BudgetError,
     InternalError,
     UnboundVariableError,
     UnfoldBudgetError,
@@ -404,3 +406,102 @@ def test_engines_solve_vector_fixpoints_jointly_and_alike():
             assert set(got.states()) == want, engine
         state = rng.randrange(lts.n)
         assert check_via_games(lts, state, phi) == (state in want)
+
+
+@pytest.mark.parametrize("engine", ["demand", "tabulate"])
+def test_closed_diamond_is_computed_once_per_evaluator(engine, monkeypatch):
+    # <a> q is closed, so it is folded to its value when compiled: the
+    # fixpoint's iterations and the lambda's runs on its arguments reuse
+    # it, and the one pre-image is taken at compile time.
+    calls = []
+    pre_image = semantics._pre_image
+
+    def counted(by_target, mask):
+        calls.append(mask)
+        return pre_image(by_target, mask)
+
+    monkeypatch.setattr(semantics, "_pre_image", counted)
+    lts = make_lts(3, [(0, "a", 1), (1, "a", 2)], [(0, "p"), (2, "q")])
+    step = Or(Dia("a", Prop("q")), Var("Y"))
+    lam = Lam("Y", Z, PR, step)
+    cfg = EvalConfig(engine=engine)
+    ev = Evaluator(lts, cfg)
+    assert ev.denotation(Mu("Y", PR, step)).mask == 0b010
+    assert cfg.stats.fixpoint_iterations >= 2
+    assert ev.denotation(App(lam, Prop("p"))).mask == 0b011
+    assert ev.denotation(App(lam, Neg(Prop("p")))).mask == 0b110
+    assert len(calls) == 1
+
+
+def _negation_rich_formula(rng, depth, scope=(), parity=0):
+    """A closed ground formula in which most nodes are !(a|b), !<a>x or
+    !!x; below a mu some of them hold its variable and some do not."""
+    usable = [x for x, bp in scope if bp == parity]
+    if depth == 0:
+        return rng.choice([Prop("p"), Prop("q")] + [Var(x) for x in usable])
+
+    def sub(flip):
+        return _negation_rich_formula(rng, depth - 1, scope, parity ^ flip)
+
+    pick = rng.choice(("neg-or", "neg-dia", "neg-neg", "or", "mu"))
+    if pick == "neg-or":
+        return Neg(Or(sub(1), sub(1)))
+    if pick == "neg-dia":
+        return Neg(Dia(rng.choice("ab"), sub(1)))
+    if pick == "neg-neg":
+        return Neg(Neg(sub(0)))
+    if pick == "or":
+        return Or(sub(0), sub(0))
+    name = f"X{len(scope)}"
+    return Mu(name, PR, _negation_rich_formula(
+        rng, depth - 1, scope + ((name, parity),), parity))
+
+
+def test_fused_and_folded_negations_match_brute_force():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        lts = randgen.random_lts(rng, 3)
+        phi = _negation_rich_formula(rng, 5)
+        seen |= {(type(f.body), not f.fv) for f in iter_nodes(phi)
+                 if isinstance(f, Neg) and isinstance(f.body, (Or, Dia, Neg))}
+        want = oracles.mu_check(lts, phi)
+        for engine in ("demand", "tabulate"):
+            got = evaluate(lts, phi, EvalConfig(engine=engine))
+            assert set(got.states()) == want, (engine, phi)
+    # Each shape occurred both open and closed.
+    assert seen == {(kind, closed) for kind in (Or, Dia, Neg)
+                    for closed in (False, True)}
+
+
+def test_negated_hfl_formulas_agree_with_games():
+    # Each shape of negation around random higher-order operands, by the
+    # demand engine and by fixpoint elimination and games.
+    rng = random.Random(59)
+    cfg = randgen.HoGenConfig(max_depth=3)
+    for n in range(120):
+        lts = randgen.random_lts(rng, 2)
+        a = randgen.random_hfl_formula(rng, cfg)
+        b = randgen.random_hfl_formula(rng, cfg)
+        phi = (Neg(Or(a, b)), Neg(Dia("a", a)), Neg(Neg(a)))[n % 3]
+        state = rng.randrange(lts.n)
+        try:
+            via_games = check_via_games(lts, state, phi, unfold_budget=64)
+        except BudgetError:
+            continue
+        assert holds(lts, state, phi) == via_games, phi
+
+
+def test_negated_disjunction_skips_right_operand_when_left_is_full():
+    # X is unbound, so evaluating it would raise.  The tabulating engine
+    # runs a lambda's body on every argument, so only the demand engine
+    # shows the skip under a guard bound at run time.
+    lts = gen_chain(2)
+    for engine in ("demand", "tabulate"):
+        phi = Neg(Or(tt(), Var("X")))
+        assert evaluate(lts, phi, EvalConfig(engine=engine),
+                        typecheck=False).mask == 0
+    guard = Lam("Y", Z, PR, Neg(Or(Var("Y"), Var("X"))))
+    assert evaluate(lts, App(guard, tt()), typecheck=False).mask == 0
+    with pytest.raises(UnboundVariableError):
+        evaluate(lts, App(guard, ff()), typecheck=False)
