@@ -16,7 +16,7 @@ import time
 
 from . import (denote, encodings, games, lts, pipeline, semantics, surface,
                syntax, types)
-from .errors import HflError, over_budget
+from .errors import HflError, over_budget, show_int
 
 REPORT_SCHEMA = "hflcheck-check-v1"
 
@@ -63,10 +63,8 @@ def cmd_check(args) -> int:
         game_nodes, game_edges = game.node_count, game.edge_count
         try:
             bound = games.size_bound_for(fp_free, model, game.order_arity)
-            bounds["game_size_bound"] = str(bound)
-            bounds["game_within_bound"] = (
-                game_nodes <= bound and game_edges <= bound
-            )
+            bounds["game_size_bound"] = show_int(bound)
+            bounds["game_within_bound"] = max(game_nodes, game_edges) <= bound
         except HflError as e:
             bounds["game_size_bound"] = over_budget(e)
         verdict = solution.winner == games.EXISTS
@@ -112,7 +110,7 @@ def cmd_typecheck(args) -> int:
         ("type_count", lambda: types.type_count_bound(max(k, 1), max(m, 1))),
     ):
         try:
-            bounds[name] = fn()
+            bounds[name] = show_int(fn())
         except HflError as e:
             bounds[name] = over_budget(e)
     if args.json:
@@ -122,7 +120,7 @@ def cmd_typecheck(args) -> int:
             "arity": m,
             "closure_size": size,
             "lambda_vars": lam_vars,
-            "bounds": {k2: str(v) for k2, v in bounds.items()},
+            "bounds": bounds,
         }, indent=2, sort_keys=True))
     else:
         print(f"type: {types.format_type(ty)}")

@@ -8,15 +8,17 @@ base-|r| numeral with the highest argument's digit most significant.  So
 every lattice is the powerset of its bits: the pointwise order is bitwise
 inclusion, complement flips every bit and join is bitwise or.
 `number_repr`/`index_of` convert between numbers and elements of the
-chain types used by the counter encodings.
+chain types used by the counter encodings.  Every lattice size comes
+from `bits`, read off the type with no big integer and no cache; widths,
+`cardinality` and `height` derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import EnumLimitError, InternalError
-from .types import Arrow, HflType, PrType, chain_type, full_space_cardinality
+from .errors import BoundBudgetError, EnumLimitError, InternalError
+from .types import BIT_BUDGET, Arrow, HflType, PrType, chain_type, format_type, uncurry
 
 DEFAULT_ENUM_LIMIT = 10**6
 
@@ -50,7 +52,7 @@ class Func(Denotation):
     def table(self) -> tuple:
         """The entries, for argument index 0 upward."""
         w = self.width
-        end = cardinality(self.ty.arg, self.n) * w
+        end = w << bits(self.ty.arg, self.n)
         digits = format(self.mask, f"0{end}b")  # entry 0 last
         return _values(self.ty.result, self.n,
                        [int(digits[k - w:k], 2) for k in range(end, 0, -w)])
@@ -60,13 +62,27 @@ def full(n: int) -> Ground:
     return Ground(n, (1 << n) - 1)
 
 
-def cardinality(ty: HflType, n: int) -> int:
-    return full_space_cardinality(ty, n)
-
-
 def bits(ty: HflType, n: int) -> int:
-    """The bit length of the lattice of `ty`: log2 of its cardinality."""
-    return cardinality(ty, n).bit_length() - 1
+    """log2 of the size of `ty`'s lattice: n at Pr, bits(r) << bits(a) at
+    a -> r.  Refused (BoundBudgetError) where |a| * (bits(r) + 1) passes
+    BIT_BUDGET, argument first, with |a| = 2^bits(a) never built."""
+    if isinstance(ty, PrType):
+        return n
+    a = bits(ty.arg, n)
+    r = bits(ty.result, n)
+    if a >= BIT_BUDGET.bit_length() or (r + 1) << a > BIT_BUDGET:
+        raise BoundBudgetError(f"|{format_type(ty)}| over {n} states")
+    return r << a
+
+
+def cardinality(ty: HflType, n: int) -> int:
+    return 1 << bits(ty, n)
+
+
+def height(ty: HflType, n: int) -> int:
+    """The height of `ty`'s lattice: 1 + n * prod |a_i| over its argument
+    types a_i, to which alone the budget applies."""
+    return 1 + (n << sum([bits(a, n) for a in uncurry(ty)]))
 
 
 def bottom(ty: HflType, n: int) -> Denotation:

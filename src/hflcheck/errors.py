@@ -56,6 +56,18 @@ def over_budget(refusal: HflError) -> str:
     return f"over budget ({refusal})"
 
 
+_DECIMAL_LIMIT = 10**4300  # from here on `str` refuses an int
+
+
+def show_int(value: int) -> str:
+    """How reports show a count or bound: exact below 10^4300, past that
+    `2^b` for a power of two and `>2^b` otherwise."""
+    if value < _DECIMAL_LIMIT:
+        return str(value)
+    b = value.bit_length() - 1
+    return f"2^{b}" if value == 1 << b else f">2^{b}"
+
+
 class BoundBudgetError(BudgetError):
     """A quantitative bound would exceed the big-integer digit budget.
 
@@ -73,7 +85,8 @@ class EnumLimitError(BudgetError):
     def __init__(self, cardinality, limit):
         self.cardinality = cardinality
         self.limit = limit
-        super().__init__(f"lattice has {cardinality} elements, over limit {limit}")
+        super().__init__(
+            f"lattice has {show_int(cardinality)} elements, over limit {limit}")
 
 
 class UnfoldBudgetError(BudgetError):
@@ -90,7 +103,7 @@ class GameLimitError(BudgetError):
         self.actual = actual
         self.limit = limit
         self.estimate = estimate  # None when `refusal` kept it uncomputed
-        shown = estimate if refusal is None else over_budget(refusal)
+        shown = show_int(estimate) if refusal is None else over_budget(refusal)
         super().__init__(
             f"game grew past {limit} (at {actual}); closed-form estimate {shown}"
         )

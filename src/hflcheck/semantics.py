@@ -40,6 +40,7 @@ from .errors import (
     IterationCapError,
     UnboundVariableError,
     UnfoldBudgetError,
+    show_int,
 )
 from .lts import Lts
 from .syntax import (
@@ -63,7 +64,6 @@ from .types import (
     PrType,
     Variance,
     format_type,
-    full_space_height,
     infer,
     uncurry,
 )
@@ -490,8 +490,7 @@ class Evaluator:
         `bindings` holds (name, type, compiled body) triples."""
         tys = [ty for _, ty, _ in bindings]
         vals = [denote.bottom(ty, self.n) for ty in tys]
-        atoms = sum(full_space_height(ty, self.n) - 1 for ty in tys)
-        cap = atoms + 2
+        cap = 2 + sum(denote.height(ty, self.n) - 1 for ty in tys)
         iters = 0
         while True:
             iters += 1
@@ -653,10 +652,10 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
     def step(f: Formula, kids) -> Formula:
         if not isinstance(f, Mu):
             return syntax.rebuild(f, kids)
-        h = full_space_height(f.ty, n)
+        h = denote.height(f.ty, n)
         if h > unfold_budget:
             raise UnfoldBudgetError(h, unfold_budget,
-                                    f"of mu {f.var} needs {h} unfoldings")
+                                    f"of mu {f.var} needs {show_int(h)} unfoldings")
         acc = _zero_approximant(f.ty)
         for _ in range(h):
             acc = substitute(kids[0], f.var, acc)

@@ -2,13 +2,13 @@
 
 All binders in the formula grammar are annotated, so `infer` is a checker
 that synthesizes types along application spines; there is no unification.
-Bounds are exact big-integer computations guarded by a digit budget.
+The paper's bounds are exact big-integer computations guarded by a digit
+budget; the lattices' own sizes, heights and widths are `denote`'s.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 from . import syntax
@@ -322,30 +322,3 @@ def height_bound(ty: HflType, n: int) -> int:
     if k == 0:
         return n + 1
     return (n + 1) * tower(n * (m + k - 1) ** (k - 1), k) ** m
-
-
-@functools.lru_cache(maxsize=1024)
-def full_space_cardinality(ty: HflType, n: int) -> int:
-    """Exact size of the full (all-tables) function space over n states.
-
-    Memoized: enumeration and indexing ask for the same few types over and
-    over.  A refusal raises and so is never cached."""
-
-    def go(t: HflType) -> int:
-        if isinstance(t, PrType):
-            return 2**n
-        dom = go(t.arg)
-        cod = go(t.result)
-        if dom * cod.bit_length() > BIT_BUDGET:
-            raise BoundBudgetError(f"|{format_type(t)}| over {n} states")
-        return cod**dom
-
-    return go(ty)
-
-
-def full_space_height(ty: HflType, n: int) -> int:
-    """Exact height of the full function space: 1 + n * prod |arg_i|."""
-    atoms = n
-    for a in uncurry(ty):
-        atoms *= full_space_cardinality(a, n)
-    return 1 + atoms

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from hflcheck.denote import Func, Ground, cardinality, element_at, leq, pack
 from hflcheck.encodings import counter_formula
-from hflcheck.errors import InternalError, TypeError_, VarianceError
+from hflcheck.errors import BoundBudgetError, InternalError, TypeError_, VarianceError
 from hflcheck.games import EXISTS, FORALL, WIN_A, WIN_E, Solution
 from hflcheck.syntax import (
     App,
@@ -33,6 +33,7 @@ from hflcheck.syntax import (
     rebuild,
 )
 from hflcheck.types import (
+    BIT_BUDGET,
     EMPTY_CONTEXT,
     PR,
     Arrow,
@@ -43,7 +44,6 @@ from hflcheck.types import (
     chain_type,
     format_type,
     fragment,
-    full_space_cardinality,
     infer,
     mar,
     ord_,
@@ -96,6 +96,19 @@ def is_monotone(d, args) -> bool:
     return True
 
 
+def reference_cardinality(ty, n, budget=BIT_BUDGET) -> int:
+    """The exact size of the full lattice of `ty` over n states, built as
+    a big integer: |r| ** |a| at a -> r.  Refused (BoundBudgetError) where
+    |a| times the bit length of |r| passes `budget`, argument first."""
+    if isinstance(ty, PrType):
+        return 2**n
+    dom = reference_cardinality(ty.arg, n, budget)
+    cod = reference_cardinality(ty.result, n, budget)
+    if dom * cod.bit_length() > budget:
+        raise BoundBudgetError(f"|{format_type(ty)}| over {n} states")
+    return cod**dom
+
+
 # Lattice elements as nested tuple tables: a state set is its bitmask and
 # a function the tuple of its entries, argument index 0 first.  The
 # canonical index reads a table as a base-|result| numeral whose most
@@ -108,8 +121,8 @@ def tuple_element_at(ty, n, i):
         if not 0 <= i < 1 << n:
             raise IndexError(i)
         return i
-    dom = full_space_cardinality(ty.arg, n)
-    cod = full_space_cardinality(ty.result, n)
+    dom = reference_cardinality(ty.arg, n)
+    cod = reference_cardinality(ty.result, n)
     if not 0 <= i < cod**dom:
         raise IndexError(i)
     digits = []
@@ -123,7 +136,7 @@ def tuple_index_of(ty, n, t) -> int:
     """Inverse of tuple_element_at."""
     if isinstance(ty, PrType):
         return t
-    cod = full_space_cardinality(ty.result, n)
+    cod = reference_cardinality(ty.result, n)
     i = 0
     for entry in reversed(t):
         i = i * cod + tuple_index_of(ty.result, n, entry)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from hflcheck.denote import Ground, full, index_of, number_repr
+from hflcheck.denote import Ground, full, height, index_of, number_repr
 from hflcheck.encodings import (
     atm_accepts,
     bisim_word_formula,
@@ -55,7 +55,6 @@ from hflcheck.types import (
     Variance,
     big_f,
     chain_type,
-    full_space_height,
     tower,
     typecheck,
 )
@@ -387,7 +386,7 @@ def test_criterion_10_semantic_algebra():
         if not mus:
             continue
         mu = mus[0]
-        h = full_space_height(mu.ty, lts.n)
+        h = height(mu.ty, lts.n)
         ok = ok and evaluate(lts, approximant(mu, h), typecheck=False) == (
             evaluate(lts, mu, typecheck=False)
         )

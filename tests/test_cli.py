@@ -209,6 +209,21 @@ def test_typecheck_reports_measures(files, capsys, tmp_path):
     assert "bound lattice_size (n=2): 65536" in out
 
 
+def test_typecheck_shows_bounds_past_str(capsys, tmp_path):
+    # The lattice-size bound tower(2n, 2) has 4,933 decimal digits at n = 7.
+    ident = tmp_path / "id.hfl"
+    ident.write_text("\\(X:Pr)^0. X\n")
+    for n, b in ((7, 1 << 14), (8, 1 << 16)):
+        query = ["typecheck", "--formula", str(ident), "--states", str(n)]
+        assert main(query) == 0
+        out = capsys.readouterr().out
+        assert f"bound lattice_size (n={n}): 2^{b}\n" in out
+        assert main(query + ["--json"]) == 0
+        bounds = json.loads(capsys.readouterr().out)["bounds"]
+        assert bounds["lattice_size"] == f"2^{b}"
+        assert bounds["height"] == str((n + 1) * 2**n)
+
+
 def test_typecheck_type_error_is_exit_2(files, capsys, tmp_path):
     bad = tmp_path / "bad.hfl"
     bad.write_text("\\(X:Pr)^+. !X\n")
@@ -310,6 +325,59 @@ def test_game_limit_past_an_astronomical_bound_is_exit_2(tmp_path, capsys):
     assert err.startswith("error[GameLimitError]: game grew past 5 (at 6); "
                           "closed-form estimate over budget (bound "
                           "astronomically large: tower(9,3)")
+
+
+def test_enumeration_refusal_prints_a_lattice_past_str(tmp_path, capsys):
+    # |Pr^0 -> Pr| over 11 states is 2^(11 * 2^11), 6,782 decimal digits:
+    # more than `str` writes, so the refusal shows it as a power of two.
+    phi = tmp_path / "apply.hfl"
+    phi.write_text("(\\(F:Pr^0 -> Pr)^0. F q) (\\(X:Pr)^0. X)\n")
+    for n, b in ((11, 11 << 11), (13, 13 << 13)):
+        model = tmp_path / f"states{n}.lts"
+        model.write_text(f"states {n}\n")
+        query = ["check", "--lts", str(model), "--formula", str(phi),
+                 "--state", "0", "--engine"]
+        for engine in ("naive", "elim-game"):
+            assert main(query + [engine]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error[EnumLimitError]: lattice has 2^{b} elements, "
+                "over limit 1000000\n"))
+        assert main(query + ["demand"]) == 1
+        assert capsys.readouterr().out == "state 0 is not in the denotation\n"
+
+
+def test_game_bounds_past_str_are_shown_against_a_power_of_two(tmp_path, capsys):
+    # Order 2, arity 4, five lambda variables over two states: the closed
+    # form is 16 |phi|^2 (4 * 2^1024)^18, over 4,300 decimal digits.
+    model = tmp_path / "two.lts"
+    model.write_text("states 2\nlabel 0 q\n")
+    phi = tmp_path / "wide.hfl"
+    phi.write_text("(\\(F:Pr^0 -> Pr)^0. \\(A:Pr)^0. \\(B:Pr)^0. "
+                   "\\(C:Pr)^0. F A) (\\(X:Pr)^0. X) q q q\n")
+    query = ["check", "--lts", str(model), "--formula", str(phi),
+             "--state", "0", "--engine", "elim-game"]
+    assert main(query + ["--json", "--no-timing"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert bounds == {"game_size_bound": ">2^18480", "game_within_bound": True}
+    assert main(query + ["--game-limit", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error[GameLimitError]: game grew past 10 (at 11); closed-form "
+        "estimate >2^18480\n")
+
+
+def test_unfolding_refusal_prints_a_height_past_str(tmp_path, capsys):
+    # The height of (Pr^0 -> Pr)^+ -> Pr over 11 states is
+    # 1 + 11 * 2^(11 * 2^11), not a power of two.
+    model = tmp_path / "states11.lts"
+    model.write_text("states 11\n")
+    phi = tmp_path / "mu.hfl"
+    phi.write_text("(mu (F:(Pr^0 -> Pr)^+ -> Pr). \\(G:Pr^0 -> Pr)^+. G q) "
+                   "(\\(X:Pr)^0. X)\n")
+    assert main(["check", "--lts", str(model), "--formula", str(phi),
+                 "--state", "0", "--engine", "elim-game"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error[UnfoldBudgetError]: fixpoint elimination of mu F needs "
+        f">2^{(11 << 11) + 3} unfoldings, over budget 4096\n"))
 
 
 def test_check_and_game_agree(files, tmp_path, capsys):

@@ -1,36 +1,41 @@
 """Denotations, canonical enumeration, the number representation."""
 
+import itertools
 import random
 
 import pytest
 
+from hflcheck import denote
 from hflcheck.denote import (
     Func,
     Ground,
+    bits,
     bottom,
     cardinality,
     complement,
     element_at,
     enumerate_lattice,
     full,
+    height,
     index_of,
     leq,
     number_repr,
 )
-from hflcheck.errors import EnumLimitError
+from hflcheck.errors import BoundBudgetError, EnumLimitError, show_int
 from hflcheck.lts import gen_chain
 from hflcheck.semantics import EvalConfig, Evaluator
 from hflcheck.syntax import Dia, Lam, Neg, Or, Var
 from hflcheck.types import (
+    BIT_BUDGET,
     PR,
     Arrow,
     Variance,
     big_f,
     chain_type,
     format_type,
-    full_space_height,
     height_bound,
     lattice_size_bound,
+    uncurry,
 )
 
 import oracles
@@ -90,6 +95,69 @@ def test_enumeration_limit():
     with pytest.raises(EnumLimitError) as err:
         enumerate_lattice(FUN, 3, limit=100)
     assert err.value.cardinality == 8**8
+
+
+def test_enumeration_limit_keeps_a_count_past_str():
+    # 2^(11 * 2^11) elements: its message names the power, not the digits.
+    with pytest.raises(EnumLimitError) as err:
+        enumerate_lattice(FUN, 11)
+    assert err.value.cardinality == 1 << (11 << 11)
+    assert str(err.value) == (
+        f"lattice has 2^{11 << 11} elements, over limit 1000000")
+
+
+def test_show_int_is_exact_below_ten_to_the_4300():
+    assert show_int(256) == "256"
+    assert show_int(10**4300 - 1) == "9" * 4300
+    b = (10**4300).bit_length() - 1
+    assert show_int(10**4300) == f">2^{b}"
+    assert show_int(1 << b + 1) == f"2^{b + 1}"
+    assert show_int((1 << b + 1) + 1) == f">2^{b + 1}"
+
+
+def _types(k, m):
+    """Every type of order <= k and arity <= m, at variance 0."""
+    if k == 0:
+        return [PR]
+    out = [PR]
+    for arity in range(1, m + 1):
+        for args in itertools.product(_types(k - 1, m), repeat=arity):
+            ty = PR
+            for a in reversed(args):
+                ty = Arrow(a, Z, ty)
+            out.append(ty)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BoundBudgetError as e:
+        return str(e)
+
+
+def _reference_height(ty, n, budget):
+    atoms = n
+    for a in uncurry(ty):
+        atoms *= oracles.reference_cardinality(a, n, budget)
+    return 1 + atoms
+
+
+@pytest.mark.parametrize("budget", [BIT_BUDGET, 2**12, 2**10, 2**6])
+def test_sizes_match_the_big_integer_reference(budget, monkeypatch):
+    # `bits` never builds 2^bits, yet refuses exactly where building the
+    # sizes as big integers passes the budget, with the same message.
+    monkeypatch.setattr(denote, "BIT_BUDGET", budget)
+    refused = 0
+    for ty, n in itertools.product(_types(2, 2), (1, 2, 3)):
+        want = _outcome(oracles.reference_cardinality, ty, n, budget)
+        assert _outcome(cardinality, ty, n) == want, (format_type(ty), n)
+        if isinstance(want, int):
+            assert bits(ty, n) == want.bit_length() - 1
+        refused += isinstance(want, str)
+        assert _outcome(height, ty, n) == _outcome(
+            _reference_height, ty, n, budget), (format_type(ty), n)
+    assert refused
 
 
 def test_leq_examples():
@@ -154,7 +222,7 @@ def _longest_chain(elems):
 def test_full_space_height_is_exact():
     for ty, n in ((FUN, 1), (PR, 3)):
         elems = list(enumerate_lattice(ty, n))
-        assert _longest_chain(elems) == full_space_height(ty, n)
+        assert _longest_chain(elems) == height(ty, n)
 
 
 def test_monotone_sublattice_height_within_bound():

@@ -121,3 +121,32 @@ def test_evaluator_keeps_no_further_tables():
     assert set(vars(ev)) == {
         "lts", "n", "_full_mask", "cfg", "_prop_masks", "_pred_masks",
         "_compiled", "_typed_roots", "_grounds", "_enums"}
+
+
+def _cache_uses(tree):
+    """The functions decorated with a functools cache, and the count of
+    every mention of one."""
+    def is_cache(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return isinstance(node, (ast.Name, ast.Attribute)) and name in (
+            "cache", "lru_cache")
+
+    decorated = {node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and any(is_cache(sub) for dec in node.decorator_list
+                         for sub in ast.walk(dec))}
+    return decorated, sum(map(is_cache, ast.walk(tree)))
+
+
+def test_no_process_wide_value_cache():
+    # A functools cache outlives every evaluation.  Lattice sizes are read
+    # off their types each time; only the formula constructors and the
+    # argument parser keep what they build.
+    found, mentions = set(), 0
+    for path in sorted((ROOT / "src" / "hflcheck").glob("*.py")):
+        decorated, count = _cache_uses(ast.parse(path.read_text(encoding="utf-8")))
+        found |= {f"{path.stem}.{name}" for name in decorated}
+        mentions += count
+    assert found == {"encodings.bit_formula", "encodings.counter_formula",
+                     "encodings.chi_formula", "cli.build_parser"}
+    assert mentions == len(found)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hflcheck import semantics
-from hflcheck.denote import Func, element_at, full, index_of, number_repr
+from hflcheck.denote import Func, element_at, full, height, index_of, number_repr
 from hflcheck.errors import (
     BudgetError,
     InternalError,
@@ -39,7 +39,7 @@ from hflcheck.syntax import (
     substitute,
     tt,
 )
-from hflcheck.types import PR, Arrow, Variance, full_space_height
+from hflcheck.types import PR, Arrow, Variance
 
 import oracles
 import randgen
@@ -154,7 +154,7 @@ def test_approximant_converges_at_height():
         if not mus:
             continue
         mu = mus[0]
-        h = full_space_height(mu.ty, lts.n)
+        h = height(mu.ty, lts.n)
         assert evaluate(lts, approximant(mu, h), typecheck=False) == evaluate(
             lts, mu, typecheck=False
         )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hflcheck.denote import cardinality, height
 from hflcheck.encodings import counter_formula, machine_formula, tape_formulas
 from hflcheck.errors import BoundBudgetError, TypeError_, VarianceError
 from hflcheck.syntax import (
@@ -34,8 +35,6 @@ from hflcheck.types import (
     big_f,
     chain_type,
     format_type,
-    full_space_cardinality,
-    full_space_height,
     height_bound,
     infer,
     lattice_size_bound,
@@ -176,17 +175,17 @@ def test_type_count_bound():
 def test_height_bound_and_exact_height():
     assert height_bound(PR, 4) == 5
     t1 = Arrow(PR, Z, PR)
-    assert full_space_height(t1, 1) == 1 + 1 * 2
-    assert full_space_height(t1, 2) == 1 + 2 * 4
+    assert height(t1, 1) == 1 + 1 * 2
+    assert height(t1, 2) == 1 + 2 * 4
     # the monotone bound dominates the monotone sublattice height but the
     # full-space height may exceed it; both are checked in test_denote
     assert height_bound(t1, 1) >= 3
 
 
 def test_full_space_cardinality():
-    assert full_space_cardinality(PR, 2) == 4
-    assert full_space_cardinality(Arrow(PR, Z, PR), 2) == 256
-    assert full_space_cardinality(chain_type(2), 1) == 16
+    assert cardinality(PR, 2) == 4
+    assert cardinality(Arrow(PR, Z, PR), 2) == 256
+    assert cardinality(chain_type(2), 1) == 16
 
 
 def test_budget_refusal_carries_symbolic_form():
@@ -196,7 +195,7 @@ def test_budget_refusal_carries_symbolic_form():
     with pytest.raises(BoundBudgetError):
         big_f(9, 50)
     with pytest.raises(BoundBudgetError):
-        full_space_cardinality(chain_type(4), 8)
+        cardinality(chain_type(4), 8)
 
 
 def test_format_type():
