@@ -243,7 +243,6 @@ class Evaluator:
         # `syntax.fold`; holding the node keeps its id from being reused, so
         # an id found here is the node itself.
         self._compiled: dict = {}
-        self._typed_roots: set = set()  # ids of roots typechecked as closed
         self._grounds: dict = {}  # mask -> the one Ground with that mask
         self._enums: dict = {}  # type -> tuple of its elements
 
@@ -515,10 +514,7 @@ class Evaluator:
     # -- public entry points
 
     def eval_closed(self, phi: Formula):
-        if id(phi) not in self._typed_roots:
-            infer(EMPTY_CONTEXT, phi)
-            self._compile(phi)  # holds phi, so its id stays its own
-            self._typed_roots.add(id(phi))
+        infer(EMPTY_CONTEXT, phi)
         return self._compile(phi)({})
 
     def denotation(self, phi: Formula) -> Denotation:
@@ -618,17 +614,12 @@ def approximant(mu: Mu, alpha: int) -> Formula:
     """
     if alpha < 0:
         raise ValueError("approximant index must be nonnegative")
-    acc = _zero_approximant(mu.ty)
-    for _ in range(alpha):
-        acc = substitute(mu.body, mu.var, acc)
-    return acc
-
-
-def _zero_approximant(ty: HflType) -> Formula:
     acc: Formula = ff()
-    arrows = _arrows(ty)
+    arrows = _arrows(mu.ty)
     for i in range(len(arrows), 0, -1):
         acc = Lam(f"Z{i}", arrows[i - 1].variance, arrows[i - 1].arg, acc)
+    for _ in range(alpha):
+        acc = substitute(mu.body, mu.var, acc)
     return acc
 
 
@@ -656,9 +647,7 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
         if h > unfold_budget:
             raise UnfoldBudgetError(h, unfold_budget,
                                     f"of mu {f.var} needs {show_int(h)} unfoldings")
-        acc = _zero_approximant(f.ty)
-        for _ in range(h):
-            acc = substitute(kids[0], f.var, acc)
+        acc = approximant(syntax.rebuild(f, kids), h)
         size = syntax.dag_size(acc)
         if size > size_budget:
             raise UnfoldBudgetError(

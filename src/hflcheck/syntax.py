@@ -3,15 +3,16 @@
 Formulas are immutable trees built from nine constructors.  Every node
 carries its free variable names, computed once at construction from its
 children's sets.  Substitution shares untouched subtrees, so formulas
-produced by unfolding are DAGs in memory; every traversal here memoizes on
-object identity to stay linear in the number of distinct nodes.
+produced by unfolding are DAGs in memory; every walk here visits each
+distinct node once, by object identity, to stay linear in their number.
 
 Every rewrite goes through one walker, `fold`: it visits the children of
 a node before the node, with an explicit stack instead of Python
 recursion, so the depth of a formula is bounded by memory, not by the
 interpreter's recursion limit.  `substitute`, `desugar_vec`, `tree_size`,
-fixpoint elimination and the evaluator's compiler are each one `step`
-over it; `rebuild`, the inverse of `children`, makes the new node.
+the alpha-canonical ids of `Interner`, fixpoint elimination and the
+evaluator's compiler are each one `step` over it; `rebuild`, the inverse
+of `children`, makes the new node.
 """
 
 from __future__ import annotations
@@ -389,70 +390,77 @@ def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Alpha-normal interning
-#
-# Canonical integer ids for formulas modulo bound-variable names: bound
-# occurrences are keyed by binder distance, free ones by name.  Identity of
-# canon ids is alpha-equality.
 
 
 class Interner:
+    """Canonical integer ids for formulas modulo bound-variable names.
+
+    Each node folds to a shape id and its free names in first-occurrence
+    order; the shape numbers a free variable by its position there, and a
+    binder records its variable's position in its body's names (-1 when
+    absent) and drops it.  `canon` interns the root's (shape, names), so
+    equal ids mean alpha-equal, with free variables compared by name.
+    """
+
     def __init__(self):
-        self._table: dict = {}
-        # (id(node), binder signature) -> (node, canon id); holding the
-        # node keeps its id from being reused while the interner lives.
-        self._memo: dict = {}
+        self._table: dict = {}  # shape key or (shape, names) -> id
+        self._done: dict = {}  # the `done` table of `fold`, kept across calls
 
     def canon(self, phi: Formula) -> int:
-        return self._go(phi, {}, 0)
+        got = self._done.get(id(phi))
+        return self._id(got[1] if got else fold(phi, self._step, done=self._done))
 
-    def _go(self, f: Formula, benv: dict, depth: int) -> int:
-        fvs = free_vars(f)
-        sig = tuple(sorted((x, depth - benv[x]) for x in fvs if x in benv))
-        mkey = (id(f), sig)
-        got = self._memo.get(mkey)
-        if got is not None:
-            return got[1]
-        if isinstance(f, Prop):
-            key = ("q", f.name)
-        elif isinstance(f, Var):
-            if f.name in benv:
-                key = ("b", depth - benv[f.name])
-            else:
-                key = ("v", f.name)
-        elif isinstance(f, Neg):
-            key = ("n", self._go(f.body, benv, depth))
-        elif isinstance(f, Or):
-            key = ("o", self._go(f.left, benv, depth), self._go(f.right, benv, depth))
-        elif isinstance(f, Dia):
-            key = ("d", f.action, self._go(f.body, benv, depth))
-        elif isinstance(f, App):
-            key = ("a", self._go(f.func, benv, depth), self._go(f.arg, benv, depth))
-        elif isinstance(f, Lam):
-            b2 = dict(benv)
-            b2[f.var] = depth
-            key = ("l", f.variance, f.ty, self._go(f.body, b2, depth + 1))
-        elif isinstance(f, Mu):
-            b2 = dict(benv)
-            b2[f.var] = depth
-            key = ("m", f.ty, self._go(f.body, b2, depth + 1))
-        elif isinstance(f, MuVec):
-            b2 = dict(benv)
-            for i, (v, _, _) in enumerate(f.bindings):
-                b2[v] = depth + i
-            d2 = depth + len(f.bindings)
-            key = (
-                "V",
-                f.index,
-                tuple((t, self._go(b, b2, d2)) for _, t, b in f.bindings),
-            )
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        cid = self._table.get(key)
-        if cid is None:
-            cid = len(self._table)
-            self._table[key] = cid
-        self._memo[mkey] = (f, cid)
-        return cid
+    def _id(self, key) -> int:
+        return self._table.setdefault(key, len(self._table))
+
+    def _step(self, f: Formula, kids):
+        t = type(f)
+        if t is Neg or t is Dia:
+            (s, names), = kids
+            return self._id(("n", s) if t is Neg else ("d", f.action, s)), names
+        if t is Or or t is App:
+            (s1, n1), (s2, n2) = kids
+            names, pos = _merge(n1, n2)
+            return self._id(("o" if t is Or else "a", s1, s2, pos)), names
+        if t is Var:
+            return self._id(("v",)), (f.name,)
+        if t is Prop:
+            return self._id(("q", f.name)), ()
+        if t is Lam or t is Mu:
+            (s, names), = kids
+            p, names = _unbind(names, f.var)
+            key = ("l", f.variance, f.ty, s, p) if t is Lam else ("m", f.ty, s, p)
+            return self._id(key), names
+        # MuVec: the bodies' names merged in binding order, then each
+        # binder's position in what is left, as it is dropped.
+        names, key = (), ["V", f.index]
+        for (_, ty, _), (s, n) in zip(f.bindings, kids):
+            names, pos = _merge(names, n)
+            key.append((ty, s, pos))
+        for v, _, _ in f.bindings:
+            p, names = _unbind(names, v)
+            key.append(p)
+        return self._id(tuple(key)), names
+
+
+def _merge(n1: tuple, n2: tuple):
+    """The names of `n1` followed by those new in `n2`, and the position
+    there of each of n2's names; None when either is empty or both are
+    equal, which the shapes' name counts tell apart."""
+    if n2 == n1 or not n2:
+        return n1, None
+    if not n1:
+        return n2, None
+    names = n1 + tuple(x for x in n2 if x not in n1)
+    return names, tuple(map(names.index, n2))
+
+
+def _unbind(names: tuple, var: str):
+    """(the position of `var` in `names` or -1, the names without it)"""
+    if var not in names:
+        return -1, names
+    p = names.index(var)
+    return p, names[:p] + names[p + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,75 @@ def reference_infer(ctx: Context, phi, types_out: dict | None = None):
 
 
 # ---------------------------------------------------------------------------
+# Alpha-normal interning by recursion
+#
+# Canonical integer ids for formulas modulo bound-variable names: bound
+# occurrences are keyed by binder distance, free ones by name.  Identity of
+# canon ids is alpha-equality.  `syntax.Interner` gives the same partition
+# with one `fold` step; this one takes a Python frame per level.
+
+
+class ReferenceInterner:
+    def __init__(self):
+        self._table: dict = {}
+        # (id(node), binder signature) -> (node, canon id); holding the
+        # node keeps its id from being reused while the interner lives.
+        self._memo: dict = {}
+
+    def canon(self, phi) -> int:
+        return self._go(phi, {}, 0)
+
+    def _go(self, f, benv: dict, depth: int) -> int:
+        fvs = free_vars(f)
+        sig = tuple(sorted((x, depth - benv[x]) for x in fvs if x in benv))
+        mkey = (id(f), sig)
+        got = self._memo.get(mkey)
+        if got is not None:
+            return got[1]
+        if isinstance(f, Prop):
+            key = ("q", f.name)
+        elif isinstance(f, Var):
+            if f.name in benv:
+                key = ("b", depth - benv[f.name])
+            else:
+                key = ("v", f.name)
+        elif isinstance(f, Neg):
+            key = ("n", self._go(f.body, benv, depth))
+        elif isinstance(f, Or):
+            key = ("o", self._go(f.left, benv, depth), self._go(f.right, benv, depth))
+        elif isinstance(f, Dia):
+            key = ("d", f.action, self._go(f.body, benv, depth))
+        elif isinstance(f, App):
+            key = ("a", self._go(f.func, benv, depth), self._go(f.arg, benv, depth))
+        elif isinstance(f, Lam):
+            b2 = dict(benv)
+            b2[f.var] = depth
+            key = ("l", f.variance, f.ty, self._go(f.body, b2, depth + 1))
+        elif isinstance(f, Mu):
+            b2 = dict(benv)
+            b2[f.var] = depth
+            key = ("m", f.ty, self._go(f.body, b2, depth + 1))
+        elif isinstance(f, MuVec):
+            b2 = dict(benv)
+            for i, (v, _, _) in enumerate(f.bindings):
+                b2[v] = depth + i
+            d2 = depth + len(f.bindings)
+            key = (
+                "V",
+                f.index,
+                tuple((t, self._go(b, b2, d2)) for _, t, b in f.bindings),
+            )
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        cid = self._table.get(key)
+        if cid is None:
+            cid = len(self._table)
+            self._table[key] = cid
+        self._memo[mkey] = (f, cid)
+        return cid
+
+
+# ---------------------------------------------------------------------------
 # Helpers only the tests use
 
 

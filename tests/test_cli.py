@@ -123,6 +123,30 @@ def test_each_command_types_each_formula_once(files, monkeypatch, capsys):
         assert len(typed) == count == len(set(map(id, typed))), command
 
 
+def test_check_computes_the_game_bound_only_for_its_report(
+        files, monkeypatch, capsys):
+    # The bound walks the whole closure; only the JSON report prints it.
+    from hflcheck import games
+
+    _, chain, reach, _, _ = files
+    calls = []
+    real = games.size_bound_for
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(games, "size_bound_for", counting)
+    query = ["check", "--lts", str(chain), "--formula", str(reach),
+             "--state", "0", "--engine", "elim-game"]
+    assert main(query) == 0
+    assert "state 0 is in" in capsys.readouterr().out
+    assert calls == []
+    assert main(query + ["--json"]) == 0
+    assert "game_size_bound" in json.loads(capsys.readouterr().out)["bounds"]
+    assert len(calls) == 1
+
+
 def test_check_json_deterministic(files, capsys):
     _, chain, reach, _, _ = files
     args = ["check", "--lts", str(chain), "--formula", str(reach),

@@ -10,7 +10,7 @@ from hflcheck.encodings import (
     counter_formula,
     phi_m_formula,
 )
-from hflcheck.games import build_game, check_via_games, solve
+from hflcheck.games import build_game, check_via_games, size_bound_for, solve
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import Evaluator, eliminate_fixpoints, evaluate, holds
 from hflcheck.surface import parse_formula, print_formula
@@ -27,10 +27,13 @@ from hflcheck.syntax import (
     apply_all,
     desugar_vec,
     iter_nodes,
+    measures,
     substitute,
     tree_size,
 )
 from hflcheck.types import PR, Arrow, Variance, big_f, chain_type
+
+import oracles
 
 Z = Variance.ZERO
 PAIR = Arrow(PR, Z, Arrow(PR, Z, PR))
@@ -257,6 +260,32 @@ def test_eliminate_fixpoints_handles_deep_nesting():
 @fails_fast(2 * DEEP_PAIRS)
 def test_tree_size_handles_deep_nesting():
     assert tree_size(_deep(Prop("q"))) == 2 * DEEP_PAIRS + 1
+
+
+# The closure of _deep(q) steps two pairs at a time, from !<a>!<a>f to
+# !!<a>f, <a>f and f: three members per two pairs, then q.
+DEEP_CLOSURE = 3 * DEEP_PAIRS // 2 + 1
+
+
+@fails_fast(2 * DEEP_PAIRS)
+def test_measures_handle_deep_nesting():
+    assert measures(_deep(Prop("q"))) == (DEEP_CLOSURE, 0)
+
+
+@fails_fast(2 * DEEP_PAIRS)
+def test_size_bound_for_handles_deep_nesting():
+    # At order 0 the bound is 4 n^2 |closure|^2.
+    bound = size_bound_for(_deep(Prop("q")), gen_chain(2), (0, 0))
+    assert bound == 16 * DEEP_CLOSURE ** 2
+
+
+@fails_fast(2 * DEEP_PAIRS)
+def test_alpha_eq_handles_deep_nesting():
+    # Free variables compare by name, bound ones by their binder.
+    phi = _deep(Var("X"))
+    other = substitute(phi, "X", Var("Y"))
+    assert not oracles.alpha_eq(phi, other)
+    assert oracles.alpha_eq(Lam("X", Z, PR, phi), Lam("Y", Z, PR, other))
 
 
 @fails_fast(2 * DEEP_PAIRS)

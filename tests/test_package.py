@@ -112,15 +112,35 @@ def test_only_elimination_and_the_closure_desugar_vector_fixpoints():
 
 
 def test_evaluator_keeps_no_further_tables():
-    # Compiled closures carry folded constants themselves, so folding adds
-    # no table to the evaluator, least of all one keyed by node identity
-    # beside `_compiled` and `_typed_roots`.
+    # Compiled closures carry folded constants themselves, and a closed
+    # root is typechecked on every evaluation, so `_compiled` is the one
+    # table keyed by node identity.
     ev = Evaluator(gen_chain(2))
     body = Neg(Or(Var("Y"), Neg(Dia("a", Prop("q")))))
     ev.denotation(App(Lam("Y", Variance.ZERO, PR, body), Prop("p")))
     assert set(vars(ev)) == {
         "lts", "n", "_full_mask", "cfg", "_prop_masks", "_pred_masks",
-        "_compiled", "_typed_roots", "_grounds", "_enums"}
+        "_compiled", "_grounds", "_enums"}
+
+
+def _self_callers(tree):
+    """The functions and methods that call their own name, from their
+    own body or a function nested in it."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(sub, ast.Call) and node.name in (
+                getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+                for sub in ast.walk(node))}
+
+
+def test_syntax_walks_formulas_without_recursion():
+    # Every formula walker in syntax.py is a `fold` step or a loop, so
+    # nesting depth is bounded by memory.  Only the Bekic rewrite recurses,
+    # once per binding of a vector fixpoint, and substitution, once per
+    # binder it renames.
+    tree = ast.parse((ROOT / "src" / "hflcheck" / "syntax.py")
+                     .read_text(encoding="utf-8"))
+    assert _self_callers(tree) == {"_bekic", "substitute"}
 
 
 def _cache_uses(tree):

@@ -21,11 +21,14 @@ from hflcheck.syntax import (
     desugar_vec,
     ff,
     fl_closure,
+    fold,
     free_vars,
+    fresh_name,
     iter_nodes,
     measures,
     nu,
     or_all,
+    rebuild,
     substitute,
     tree_size,
     tt,
@@ -142,6 +145,113 @@ def test_measures_of_a_deeply_shared_dag():
     for _ in range(60):
         f = Or(f, f)
     assert measures(f) == (65, 1)
+
+
+def _lambdas_renamed(phi):
+    """A copy of phi with every lambda binder renamed to a fresh name."""
+    def step(f, kids):
+        if not isinstance(f, Lam):
+            return rebuild(f, kids)
+        var = fresh_name(f.var, kids[0].fv)
+        return Lam(var, f.variance, f.ty, substitute(kids[0], f.var, Var(var)))
+
+    return fold(phi, step)
+
+
+def _lambdas_relabelled(phi, name):
+    """A copy of phi whose lambda binders are all `name`, with their bodies
+    untouched: it captures and shadows, so it is mostly not alpha-equal."""
+    def step(f, kids):
+        if not isinstance(f, Lam):
+            return rebuild(f, kids)
+        return Lam(name, f.variance, f.ty, kids[0])
+
+    return fold(phi, step)
+
+
+def _scrambled(phi, rng):
+    """A copy of phi with each variable, proposition and action drawn
+    again from a few names, so that copies share structure and differ in
+    which occurrences name the same variable."""
+    def step(f, kids):
+        if isinstance(f, Var):
+            return Var(rng.choice(("X", "Y", "Z", "V1")))
+        if isinstance(f, Prop):
+            return Prop(rng.choice("pq"))
+        if isinstance(f, Dia):
+            return Dia(rng.choice("ab"), kids[0])
+        return rebuild(f, kids)
+
+    return fold(phi, step)
+
+
+def _random_open_term(rng, depth):
+    """An untyped term over three variable names, where binders shadow,
+    capture and go unused; interning needs no types."""
+    pick = rng.randrange(7) if depth else 0
+    if pick == 0:
+        return Var(rng.choice("XYZ")) if rng.random() < 0.8 else Prop("q")
+    if pick < 3:
+        kind = Or if pick == 1 else App
+        return kind(_random_open_term(rng, depth - 1),
+                    _random_open_term(rng, depth - 1))
+    body = _random_open_term(rng, depth - 1)
+    if pick == 3:
+        return Neg(body)
+    if pick == 4:
+        return Lam(rng.choice("XYZ"), Z, PR, body)
+    if pick == 5:
+        return Mu(rng.choice("XYZ"), PR, body)
+    other = _random_open_term(rng, depth - 1)
+    return MuVec(rng.choice((1, 2)), (("X", PR, body), ("Y", PR, other)))
+
+
+def _fix_systems(a, b):
+    """Two-binding systems over `a` and `b`, with their binders renamed
+    (alpha-equal), swapped in order, or swapped in name only."""
+    x = Or(a, Dia("a", Var("Y")))
+    y = Or(Var("X"), App(b, Var("Y")))
+    renamed = [(v, PR, substitute(body, "X", Var("X9")))
+               for v, body in (("X9", x), ("Y", y))]
+    for bindings in ([("X", PR, x), ("Y", PR, y)], renamed,
+                     [("Y", PR, y), ("X", PR, x)],
+                     [("Y", PR, x), ("X", PR, y)]):
+        for index in (1, 2):
+            yield MuVec(index, tuple(bindings))
+
+
+def test_interner_partition_matches_the_reference():
+    # Members: each formula's closure and subterms, copies with lambda
+    # binders renamed or relabelled or with names scrambled, fix systems
+    # over its subterms, and the subterms of scrambled copies of a random
+    # open term.  Two members get equal ids exactly when the recursive de
+    # Bruijn interner gives them equal ids; the one interner of each
+    # formula keeps its table across all of them.
+    from hflcheck.syntax import Interner, _closure_reps
+
+    rng = random.Random(41)
+    pairs = 0
+    for _ in range(150):
+        phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=4))
+        renamed = _lambdas_renamed(phi)
+        members = _closure_reps(phi) + list(iter_nodes(phi))
+        members += iter_nodes(renamed)
+        for name in ("V1", "V2", "X"):
+            members += iter_nodes(_lambdas_relabelled(phi, name))
+        for _ in range(4):
+            members += iter_nodes(_scrambled(phi, rng))
+        parts = list(iter_nodes(phi))
+        for _ in range(3):
+            members += _fix_systems(rng.choice(parts), rng.choice(parts))
+        term = _random_open_term(rng, 4)
+        for _ in range(8):
+            members += iter_nodes(_scrambled(term, rng))
+        interner, reference = Interner(), oracles.ReferenceInterner()
+        ids = {(interner.canon(m), reference.canon(m)) for m in members}
+        assert len({i for i, _ in ids}) == len(ids) == len({r for _, r in ids})
+        assert interner.canon(renamed) == interner.canon(phi)
+        pairs += len(members) * (len(members) - 1) // 2
+    assert pairs > 100_000
 
 
 def _free_vars_by_recursion(f):
