@@ -17,18 +17,21 @@ Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
 canonical index, which is also its encoding (see `denote`); shifts pick a
 value's entry at some arguments out of the index.  Only configurations are
-hash-consed, keyed by the state, the argument stack and the values of the
-formula's free variables; guess and pick nodes are made once, by their
-parent.  A challenge's outcomes depend on the guess only through its entry
-at the picked arguments, so each application node shares one outcome tuple
-among all guesses that agree there.
+hash-consed (Filliâtre & Conchon, ML 2006), keyed by plain data: the
+state, the argument stack, the values of the formula's sorted free
+variables, and the formula's number, which the builder gives each formula
+(and each negation it makes) the first time it meets it.  The key is also
+the node's payload.  Guess and pick nodes are made once, by their parent.
+A challenge's outcomes depend on the guess only through its entry at the
+picked arguments, so each application node shares one outcome tuple among
+all guesses that agree there.
 
-Successors are tuples of node indices, which the cyclic garbage collector
-stops tracking, so a large game costs full collections little.  The
-builder expands nodes depth first from one stack; a fan of guess or pick
-nodes is one stack item that hands out its nodes one at a time, in the
-order in which single items for each would be popped, and node numbers
-follow that order.
+Successors and payloads are tuples of ints, which the cyclic garbage
+collector stops tracking (a nested tuple one level per collection), so a
+large game costs full collections little.  The builder expands nodes
+depth first from one stack; a fan of guess or pick nodes is one stack item
+that hands out its nodes one at a time, in the order in which single items
+for each would be popped, and node numbers follow that order.
 """
 
 from __future__ import annotations
@@ -55,13 +58,19 @@ class Game:
     """Node u has kind kinds[u], label data payloads[u] and successors
     edges[u], a tuple of node indices in move order.  Nodes may share one
     tuple (every terminal its empty one, and the challenge leaves with
-    equal outcomes)."""
+    equal outcomes).
+
+    A configuration's payload is its key, plain ints and tuples: (state,
+    stack, (values, t)), with the argument indices on the stack, the values
+    of formula t's sorted free variables, and t a position in `formulas`.
+    A guess node's payload is the shared ("guess",), a pick node's the
+    shared ("pick", k) for its k-th argument."""
 
     kinds: list
     payloads: list
     edges: list
     start: int
-    lts: Lts
+    formulas: list  # formula number t -> the formula
     order_arity: tuple  # `types.fragment` of the formula played
 
     @property
@@ -119,8 +128,9 @@ class _Builder:
         top = infer(EMPTY_CONTEXT, phi, types_out=self.types)
         if not isinstance(top, PrType):
             raise ValueError("game construction needs a formula of ground type")
-        self.negs: dict = {}
-        self.moves: dict = {}  # id(f) -> how f's configurations move, and f
+        self.numbers: dict = {}  # (id(f), negated) -> its formula number t
+        self.formulas: list = []  # t -> the formula
+        self.moves: list = []  # t -> how its configurations move, once known
         self.kinds: list = []
         self.payloads: list = []
         self.edges: list = []
@@ -131,13 +141,17 @@ class _Builder:
         self.pending: list = []
         self.used = 0
 
-    def target(self, f: Formula, negate=False) -> tuple:
-        """f, negated if asked (one Neg per f), and its sorted free names."""
-        if negate:
-            if id(f) not in self.negs:
-                self.negs[id(f)] = Neg(f)
-            f = self.negs[id(f)]
-        return f, tuple(sorted(f.fv))
+    def target(self, f: Formula, scope: tuple, negate=False) -> tuple:
+        """The number t of f, negated if asked (one Neg per f), and where
+        each of its sorted free names sits in `scope`, the names whose
+        values the parent configuration carries."""
+        key = (id(f), negate)
+        t = self.numbers.get(key)
+        if t is None:
+            t = self.numbers[key] = len(self.formulas)
+            self.formulas.append(Neg(f) if negate else f)
+            self.moves.append(None)
+        return t, tuple([scope.index(x) for x in sorted(f.fv)])
 
     def widths(self, ty) -> tuple:
         """The entry widths of ty's successive results, with which
@@ -148,8 +162,9 @@ class _Builder:
             out.append(denote.bits(ty, self.lts.n))
         return tuple(out)
 
-    def compile(self, f: Formula) -> tuple:
-        """How configurations of f move: a tag, its data, and f itself.
+    def compile(self, t: int) -> tuple:
+        """How configurations of formula t move: a tag and its data, in
+        which each successor formula is a `target` in t's scope.
 
         An application's data: the targets of its function, argument and
         negated argument, its guess and pick domain sizes, the argument's
@@ -157,6 +172,8 @@ class _Builder:
         expansion; each pick lattice is smaller than the guessed one, so
         it is refused only where the guess domain already is.
         """
+        f = self.formulas[t]
+        scope = tuple(sorted(f.fv))
         # A negated configuration moves like its body, with the players'
         # roles swapped and every successor negated.
         neg = isinstance(f, Neg)
@@ -164,25 +181,28 @@ class _Builder:
         owner, win, lose = (FORALL, WIN_A, WIN_E) if neg else (EXISTS, WIN_E, WIN_A)
         if isinstance(g, Prop):
             return "prop", tuple([win if self.lts.has_prop(s, g.name)
-                                  else lose for s in range(self.lts.n)]), f
+                                  else lose for s in range(self.lts.n)])
         if isinstance(g, Var):
-            return "var", (g.name, self.widths(self.types[id(g)]), win, lose), f
+            return "var", (self.widths(self.types[id(g)]), win, lose)
         if isinstance(g, Or):
-            return "or", (owner, self.target(g.left, neg),
-                          self.target(g.right, neg)), f
+            return "or", (owner, self.target(g.left, scope, neg),
+                          self.target(g.right, scope, neg))
         if isinstance(g, Dia):
-            return "dia", (owner, lose, g.action, self.target(g.body, neg)), f
+            return "dia", (owner, lose, g.action,
+                           self.target(g.body, scope, neg))
         if isinstance(g, Lam):
-            return "lam", (g.var, self.target(g.body, neg)), f
+            return "lam", self.target(g.body, scope + (g.var,), neg)
         if isinstance(g, App):
             sigma = self.types[id(g.arg)]
             sizes = [denote.lattice_size(ty, self.lts.n, self.enum_limit)
                      for ty in [sigma] + uncurry(sigma)]
-            return "app", (self.target(g.func, neg), self.target(g.arg),
-                           self.target(g.arg, True), sizes, self.widths(sigma),
-                           tuple([("pick", k) for k in range(len(sizes))])), f
+            return "app", (self.target(g.func, scope, neg),
+                           self.target(g.arg, scope),
+                           self.target(g.arg, scope, True), sizes,
+                           self.widths(sigma),
+                           tuple([("pick", k) for k in range(len(sizes))]))
         if isinstance(g, Neg):  # f is Neg(Neg x): one edge to x
-            return "neg", self.target(g.body), f
+            return "neg", self.target(g.body, scope)
         raise InternalError(f"unhandled formula {f!r}")
 
     def charge(self, count):
@@ -211,31 +231,32 @@ class _Builder:
         self.edges[idx] = tuple(range(first, first + count))
         return first
 
-    def config(self, state, stack, env, target):
-        """The node for `state` in f applied to `stack` under `env`.
+    def config(self, state, stack, values, target):
+        """The node for `state` in formula t applied to `stack`.
 
-        `target` is f with its sorted free variables, `stack` a tuple of
-        argument indices and `env` maps variable names to indices.  The
-        key's last part is what f and `env` fix: the values of f's free
-        variables only, and f's identity.
+        `target` is t with the positions of its free names in the parent's
+        scope, whose values are `values`; `stack` is a tuple of argument
+        indices.  The key's last part is what t's configurations read: the
+        values of its free variables only, and t.
         """
-        f, names = target
-        key = (state, stack, (tuple([env[x] for x in names]), id(f)))
+        t, pos = target
+        key = (state, stack, (tuple([values[p] for p in pos]), t))
         got = self.index.get(key)
-        return self.add(key, env, f) if got is None else got
+        return self.add(key) if got is None else got
 
-    def add(self, key, env, f) -> int:
-        """A new configuration node under `key`, queued for expansion."""
+    def add(self, key) -> int:
+        """A new configuration node under `key`, its payload too, queued
+        for expansion."""
         got = self.index[key] = len(self.kinds)
         self.kinds.append(None)
-        self.payloads.append(("config", key[0], key[1], env, f))
+        self.payloads.append(key)
         self.edges.append(None)
         self.used += 1
         self.pending.append(got)
         return got
 
     def build(self, start_state):
-        start = self.config(start_state, (), {}, (self.phi, ()))
+        start = self.config(start_state, (), (), self.target(self.phi, ()))
         self.charge(0)
         pending = self.pending
         while pending:
@@ -247,38 +268,37 @@ class _Builder:
                 self.expand_guess(item)
             else:
                 self.expand_pick(item)
-        return Game(self.kinds, self.payloads, self.edges, start, self.lts,
-                    fragment(self.types))
+        return Game(self.kinds, self.payloads, self.edges, start,
+                    self.formulas, fragment(self.types))
 
     def expand_config(self, idx):
-        _, state, stack, env, f = self.payloads[idx]
-        entry = self.moves.get(id(f))
+        state, stack, (values, t) = self.payloads[idx]
+        entry = self.moves[t]
         if entry is None:
-            entry = self.moves[id(f)] = self.compile(f)
-        tag, data, _ = entry
+            entry = self.moves[t] = self.compile(t)
+        tag, data = entry
         config = self.config
         if tag == "prop":
             kind, out = data[state], ()
         elif tag == "var":
-            name, widths, win, lose = data
-            val = env[name]
+            widths, win, lose = data
+            val = values[0]
             for a, w in zip(stack, widths):
                 val = denote.entry_index(val, a, w)
             kind, out = (win if val >> state & 1 else lose), ()
         elif tag == "or":
             kind = data[0]
-            out = (config(state, (), env, data[1]),
-                   config(state, (), env, data[2]))
+            out = (config(state, (), values, data[1]),
+                   config(state, (), values, data[2]))
         elif tag == "dia":
             succs = self.lts.successors(state, data[2])
             kind = data[0] if succs else data[1]
-            out = tuple([config(t, (), env, data[3]) for t in succs])
+            out = tuple([config(s, (), values, data[3]) for s in succs])
         elif tag == "lam":
-            env2 = dict(env)
-            env2[data[0]] = stack[0]
-            kind, out = EXISTS, (config(state, stack[1:], env2, data[1]),)
+            kind, out = EXISTS, (config(state, stack[1:],
+                                        values + (stack[0],), data),)
         elif tag == "neg":
-            kind, out = EXISTS, (config(state, stack, env, data),)
+            kind, out = EXISTS, (config(state, stack, values, data),)
         else:  # an application: the proponent guesses the argument
             self.kinds[idx] = EXISTS
             count = data[3][0]
@@ -287,9 +307,8 @@ class _Builder:
             # configuration, its compiled data, the outcomes shared among
             # guesses, and the last key parts (see `config`) of the
             # function, the argument and the negated argument.
-            work = (state, stack, env, data, {}, *[
-                (tuple([env[x] for x in names]), id(g))
-                for g, names in data[:3]])
+            work = (state, stack, data, {}, *[
+                (tuple([values[p] for p in pos]), u) for u, pos in data[:3]])
             self.pending.append([work, first, count])
             return
         self.kinds[idx] = kind
@@ -305,11 +324,11 @@ class _Builder:
             item[2] = gi
         else:
             self.pending.pop()
-        state, stack, env, app, outcomes, part, _, _ = work
+        state, stack, app, outcomes, part, _, _ = work
         key = (state, (gi,) + stack, part)
         function = self.index.get(key)
         if function is None:
-            function = self.add(key, env, app[0][0])
+            function = self.add(key)
         root = len(self.kinds)
         self.kinds.append(FORALL)
         self.payloads.append(app[5][0])  # ("pick", 0)
@@ -333,7 +352,7 @@ class _Builder:
     def pick_fan(self, work, gi, hs, idx):
         """Give pick node idx, at arguments hs picked so far, the choices
         of the next argument, and queue them."""
-        _, _, _, sizes, _, picks = work[3]
+        _, _, _, sizes, _, picks = work[2]
         k = len(hs) + 1
         first = self.fan(idx, picks[k], sizes[k])
         item = [work, first, sizes[k], gi, hs]
@@ -345,7 +364,7 @@ class _Builder:
         """The fan's next pick node fans out the choices of the argument
         after it, or the fan's leaves are filled."""
         work, first, hi, gi, hs = item
-        if len(hs) + 2 == len(work[3][3]):
+        if len(hs) + 2 == len(work[2][3]):
             self.leaves(item, False)
             return
         hi -= 1
@@ -361,14 +380,14 @@ class _Builder:
         the next leaf.  A `fresh` fan whose leaves all reuse outcomes is
         filled at once."""
         work, first, left, gi, hs = item
-        widths = work[3][4]
+        widths = work[2][4]
         for a, w in zip(hs, widths):
             gi = denote.entry_index(gi, a, w)
         w = widths[-1]
         mask = (1 << w) - 1
         # The outcomes depend on the guess only through its value at the
         # picked arguments, so every guess that agrees there shares them.
-        outcomes = work[4]
+        outcomes = work[3]
         shared = outcomes.get(hs)
         if shared is None:
             shared = outcomes[hs] = {}
@@ -405,15 +424,13 @@ class _Builder:
         """Where a challenge at arguments `picked` of a guess whose value
         there is g leads: the opponent picks a state t and the argument,
         negated unless t is in g, continues at t."""
-        _, _, env, app, _, _, part, negpart = work
+        part, negpart = work[5:]
         index = self.index
         out = []
         for t in range(self.lts.n):
-            pos = g >> t & 1
-            key = (t, picked, part if pos else negpart)
+            key = (t, picked, part if g >> t & 1 else negpart)
             got = index.get(key)
-            out.append(self.add(key, env, app[1 if pos else 2][0])
-                       if got is None else got)
+            out.append(self.add(key) if got is None else got)
         return tuple(out)
 
 
@@ -507,23 +524,23 @@ def check_via_games(lts: Lts, state: int, phi: Formula,
 
 
 def _node_labels(game: Game):
-    """Each node's label in node order, read off its payload: ("config",
-    state, stack, env, f) for a configuration, the shared ("guess",) or
-    ("pick", k) else.  Each formula is printed once, however many
+    """Each node's label in node order, read off its payload: the shared
+    ("guess",) or ("pick", k) marker, else a configuration's key (state,
+    stack, (values, t)).  Each formula t is printed once, however many
     configurations hold it."""
-    texts: dict = {}  # id(f) -> f printed, cut to 40 characters
+    texts: dict = {}  # t -> game.formulas[t] printed, cut to 40 characters
     for payload in game.payloads:
-        if payload[0] == "config":
-            _, state, stack, _env, f = payload
-            if id(f) not in texts:
-                text = surface.print_formula(f)
-                texts[id(f)] = text if len(text) <= 40 else text[:37] + "..."
-            args = f" ({len(stack)} args)" if stack else ""
-            yield f"{state}{args} |- {texts[id(f)]}"
-        elif payload[0] == "guess":
+        if payload[0] == "guess":
             yield "guess"
-        else:
+        elif payload[0] == "pick":
             yield f"pick {payload[1]}"
+        else:
+            state, stack, (_, t) = payload
+            if t not in texts:
+                text = surface.print_formula(game.formulas[t])
+                texts[t] = text if len(text) <= 40 else text[:37] + "..."
+            args = f" ({len(stack)} args)" if stack else ""
+            yield f"{state}{args} |- {texts[t]}"
 
 
 def export_game(game: Game, fmt: str, solution: Solution | None = None) -> str:

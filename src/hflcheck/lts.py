@@ -52,6 +52,8 @@ def make_lts(n, trans=(), labels=()):
         edges.setdefault(a, set()).add((s, t))
     lab = [set() for _ in range(n)]
     for s, p in labels:
+        if not 0 <= s < n:
+            raise LtsFormatError(f"label state {s} out of range")
         lab[s].add(p)
     return Lts(
         n,

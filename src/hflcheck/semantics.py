@@ -72,8 +72,8 @@ from .types import (
 # The largest lambda domain over which a closure memoizes its results.
 AUTO_TABLE_LIMIT = 4096
 
-# The demand solver refuses (IterationCapError) once the evaluation's stats
-# count more fixpoint body evaluations than this.
+# One demand solver refuses (IterationCapError) once it has made more
+# fixpoint body evaluations than this.
 MAX_FIXPOINT_EVALS = 10**7
 
 
@@ -152,6 +152,7 @@ class FixSolver:
         self.deps: dict = {}
         self.dirty: dict = {}  # keys to re-evaluate, in insertion order
         self.current = None
+        self.evals = 0  # body evaluations, checked against the cap
 
     def read(self, comp, args) -> Ground:
         """The join of the entries of `comp` whose arguments lie below
@@ -191,7 +192,8 @@ class FixSolver:
         while self.dirty:
             key, _ = self.dirty.popitem()
             stats.fixpoint_iterations += 1
-            if stats.fixpoint_iterations > MAX_FIXPOINT_EVALS:
+            self.evals += 1
+            if self.evals > MAX_FIXPOINT_EVALS:
                 raise IterationCapError(
                     f"over {MAX_FIXPOINT_EVALS} fixpoint body evaluations; "
                     "likely non-convergence"

@@ -434,6 +434,19 @@ def test_check_and_game_agree(files, tmp_path, capsys):
             assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("state", ["5", "-1"])
+def test_label_state_out_of_range_exits_2(tmp_path, capsys, state):
+    model = tmp_path / "bad.lts"
+    model.write_text(f"states 2\nlabel {state} q\n")
+    phi = tmp_path / "q.hfl"
+    phi.write_text("q\n")
+    for engine in ("naive", "demand", "elim-game"):
+        assert main(["check", "--engine", engine, "--lts", str(model),
+                     "--formula", str(phi), "--state", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error[LtsFormatError]: label state {state} out of range\n")
+
+
 def test_game_dump_formats(files, tmp_path, capsys):
     _, chain, reach, _, _ = files
     out = tmp_path / "game.json"

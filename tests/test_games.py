@@ -31,9 +31,11 @@ from hflcheck.games import (
 )
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
 from hflcheck.semantics import EvalConfig, eliminate_fixpoints, evaluate, holds
+from hflcheck.surface import parse_formula
 from hflcheck.syntax import (
     App,
     Dia,
+    Interner,
     Lam,
     Mu,
     MuVec,
@@ -41,6 +43,7 @@ from hflcheck.syntax import (
     Or,
     Prop,
     Var,
+    _closure_reps,
     apply_all,
     dag_size,
     desugar_vec,
@@ -263,7 +266,7 @@ def test_solve_matches_reference_solve_on_small_corpus_games(name, i, j):
 
 def _hand_game(kinds, edges):
     return Game(kinds, [None] * len(kinds), [tuple(e) for e in edges], 0,
-                gen_chain(1), (0, 0))
+                [], (0, 0))
 
 
 @pytest.mark.parametrize("kinds,edges,message", [
@@ -496,3 +499,58 @@ def test_counter_corpus_game_exports_are_pinned(name, i, j, digests):
         text = export_game(game, "json", solve(game))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+
+def _configurations(game):
+    """The configurations' payloads, which are their keys (state, stack,
+    (values, t)); every other payload is a ("guess",) or ("pick", k)
+    marker."""
+    return [p for p in game.payloads if type(p[0]) is int]
+
+
+def _assert_configurations_lie_in_the_closure(lts, fp_free):
+    interner = Interner()
+    closure = {interner.canon(f) for f in _closure_reps(fp_free)}
+    for state in range(lts.n):
+        game = build_game(lts, state, fp_free)
+        for t in {key[2][1] for key in _configurations(game)}:
+            assert interner.canon(game.formulas[t]) in closure, (
+                game.formulas[t])
+
+
+@pytest.mark.parametrize("name,i,j", [("eq", 0, 3), ("gt", 1, 3)],
+                         ids=["eq(0,3)", "gt(1,3)"])
+def test_configuration_formulas_lie_in_the_closure(name, i, j):
+    # The game's positions are closure formulas, which is what makes the
+    # closure size the formula size of the paper's bound.
+    _assert_configurations_lie_in_the_closure(*_counter_corpus_game(name, i, j))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "_closure_reps merges \\X.X into the alpha-equal \\Y.Y before it "
+    "descends, so the body X never enters the closure, yet the game has a "
+    "configuration at X"))
+def test_configuration_under_an_alpha_merged_lambda_lies_in_the_closure():
+    phi = parse_formula("(\\(X:Pr)^+. X) p | (\\(Y:Pr)^+. Y) q")
+    _assert_configurations_lie_in_the_closure(gen_chain(2), phi)
+
+
+def _plain(x):
+    return type(x) is int or (type(x) is tuple and all(map(_plain, x)))
+
+
+def test_configuration_payloads_are_plain_data():
+    # A payload made of ints and tuples only is untracked by the cyclic
+    # collector once collected (a nested tuple one level per collection),
+    # so a built game adds nothing to the cost of later full collections.
+    lts, fp_free = _counter_corpus_game("gt", 1, 3)
+    game = build_game(lts, 0, fp_free)
+    tracked = None
+    while True:
+        gc.collect()
+        before, tracked = tracked, sum(map(gc.is_tracked, game.payloads))
+        if tracked == before:
+            break
+    assert tracked == 0
+    configs = _configurations(game)
+    assert len(configs) > game.node_count // 2
+    assert all(map(_plain, configs))

@@ -62,6 +62,13 @@ def test_load_errors():
         load("states 1\nfoo 1 2")
 
 
+@pytest.mark.parametrize("state", ["5", "-1"])
+def test_load_refuses_a_label_state_out_of_range(state):
+    # -1 must not wrap around to the last state.
+    with pytest.raises(LtsFormatError, match=f"label state {state} out of range"):
+        load(f"states 2\nlabel {state} q\n")
+
+
 def test_counter_lts_smallest():
     lts = gen_counter_lts(1)
     assert lts.edges.get("lower", frozenset()) == frozenset()

@@ -9,6 +9,7 @@ from hflcheck.denote import Func, element_at, full, height, index_of, number_rep
 from hflcheck.errors import (
     BudgetError,
     InternalError,
+    IterationCapError,
     UnboundVariableError,
     UnfoldBudgetError,
 )
@@ -270,6 +271,32 @@ def test_stats_are_populated():
     phi = Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
     evaluate(lts, phi, cfg=cfg)
     assert cfg.stats.fixpoint_iterations >= 1
+
+
+def _reach_q():
+    """`mu X. q | <a> X` on the chain 0 -a-> 1 -a-> 2 labelled q at 2: the
+    demand solver makes 4 body evaluations."""
+    lts = make_lts(3, [(0, "a", 1), (1, "a", 2)], [(2, "q")])
+    return lts, Mu("X", PR, Or(Prop("q"), Dia("a", Var("X"))))
+
+
+def test_iteration_cap_ignores_stats_from_earlier_evaluations():
+    # Stats shared by many evaluations keep counting, but each solver's
+    # evaluations alone are held to the cap.
+    lts, phi = _reach_q()
+    cfg = EvalConfig()
+    cfg.stats.fixpoint_iterations = semantics.MAX_FIXPOINT_EVALS - 2
+    assert evaluate(lts, phi, cfg=cfg).mask == 7
+    assert cfg.stats.fixpoint_iterations == semantics.MAX_FIXPOINT_EVALS + 2
+
+
+def test_iteration_cap_refuses_one_solver_past_it(monkeypatch):
+    lts, phi = _reach_q()
+    monkeypatch.setattr(semantics, "MAX_FIXPOINT_EVALS", 3)
+    with pytest.raises(IterationCapError, match="over 3 fixpoint body"):
+        evaluate(lts, phi)
+    monkeypatch.setattr(semantics, "MAX_FIXPOINT_EVALS", 4)
+    assert evaluate(lts, phi).mask == 7
 
 
 # A closed lambda over Pr -> Pr with 256 arguments on two states: small
