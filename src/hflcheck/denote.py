@@ -150,9 +150,7 @@ def enumerate_lattice(ty: HflType, n: int,
 
 def lattice_size(ty: HflType, n: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """The cardinality of `ty`'s lattice, refused (EnumLimitError) past
-    `limit` elements."""
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    `limit` elements (every lattice, below a limit of 1)."""
     size = cardinality(ty, n)
     if size > limit:
         raise EnumLimitError(size, limit)

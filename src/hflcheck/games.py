@@ -11,7 +11,9 @@ single choices, which preserves winners because every link belongs to the
 opponent.  Terminals are classified by the literal winning conditions,
 including stuck modalities.  Every move strictly shrinks the formula, so
 the graph is a DAG and backward induction solves it in one pass, which
-walks the nodes from the highest index down (see `solve`).
+walks the nodes from the highest index down and keeps only each node's
+winner (see `solve`); a winning strategy is derived from the winners when
+it is first read.
 
 Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
@@ -26,10 +28,11 @@ A challenge's outcomes depend on the guess only through its entry at the
 picked arguments, so each application node shares one outcome tuple among
 all guesses that agree there.
 
-Successors and payloads are tuples of ints, which the cyclic garbage
-collector stops tracking (a nested tuple one level per collection), so a
-large game costs full collections little.  The builder expands nodes
-depth first from one stack; a fan of guess or pick nodes is one stack item
+Payloads are tuples of ints, and successors tuples of ints or, for a fan
+of guess or pick nodes, a `range`.  The cyclic garbage collector never
+tracks a range and stops tracking such a tuple (nested tuples one level
+per collection), so a large game costs full collections little.  The builder
+expands nodes depth first from one stack; a fan is one stack item
 that hands out its nodes one at a time, in the order in which single items
 for each would be popped, and node numbers follow that order.
 """
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import denote, semantics, surface, syntax
 from .errors import BoundBudgetError, GameLimitError, InternalError
@@ -56,9 +60,9 @@ DEFAULT_GAME_LIMIT = 10**7
 @dataclass
 class Game:
     """Node u has kind kinds[u], label data payloads[u] and successors
-    edges[u], a tuple of node indices in move order.  Nodes may share one
-    tuple (every terminal its empty one, and the challenge leaves with
-    equal outcomes).
+    edges[u], node indices in move order: a tuple, or a range for the
+    guesses or picks of one fan.  Nodes may share one tuple (every
+    terminal its empty one, and the challenge leaves with equal outcomes).
 
     A configuration's payload is its key, plain ints and tuples: (state,
     stack, (values, t)), with the argument indices on the stack, the values
@@ -84,9 +88,23 @@ class Game:
 
 @dataclass
 class Solution:
+    """A solved game: the winner from its start and the winner of each
+    node.  `solve` keeps only these; the strategy is derived on its first
+    read."""
+
     winner: str  # EXISTS or FORALL
     winners: list  # per node
-    strategy: dict  # node -> chosen successor, total on the winner's nodes
+    game: Game
+
+    @cached_property
+    def strategy(self) -> dict:
+        """Node -> chosen successor, total on the winner's nodes: the
+        first successor the winner wins, else (the node is lost) the
+        first successor."""
+        winner, winners, edges = self.winner, self.winners, self.game.edges
+        return {u: next((v for v in edges[u] if winners[v] == winner),
+                        edges[u][0])
+                for u, k in enumerate(self.game.kinds) if k == winner}
 
 
 def game_size_bound(n: int, size: int, k: int, m: int, v: int) -> int:
@@ -228,7 +246,7 @@ class _Builder:
         self.kinds.extend([FORALL] * count)
         self.payloads.extend([payload] * count)
         self.edges.extend([None] * count)
-        self.edges[idx] = tuple(range(first, first + count))
+        self.edges[idx] = range(first, first + count)
         return first
 
     def config(self, state, stack, values, target):
@@ -449,19 +467,19 @@ def build_game(lts: Lts, start_state: int, phi: Formula,
 
 
 def solve(game: Game) -> Solution:
-    """Backward induction in one pass, from the highest node down.
+    """Backward induction in one pass, from the highest node down; it
+    keeps each node's winner and nothing else (see `Solution.strategy`).
 
     A builder's moves mostly lead to higher nodes, which the pass has
     settled already.  A node with a successor it has not (a hash-consed
     configuration made earlier) is opened: it waits on an explicit stack
     under its unsettled successors, which are settled first the same way.
     Reaching an open node again is a cycle.  Every edge is read to see
-    that it is settled, and each node's owner takes its first winning
-    successor in edge order: linear in nodes plus edges.
+    that it is settled, and a node's owner wins if it wins a successor:
+    linear in nodes plus edges.
     """
     kinds, edges = game.kinds, game.edges
     winners: list = [None] * len(kinds)  # False while open
-    strategies: dict = {EXISTS: {}, FORALL: {}}  # per owner, of its nodes
     stack: list = []
     for u in range(len(kinds) - 1, -1, -1):
         while True:
@@ -476,13 +494,13 @@ def solve(game: Game) -> Solution:
                     raise InternalError("non-terminal node without moves")
                 else:
                     owner = EXISTS if k == EXISTS else FORALL
-                    first = None
+                    wins = False
                     for v in succs:
                         won = winners[v]
                         if not won:
                             break
-                        if won is owner and first is None:
-                            first = v
+                        if won is owner:
+                            wins = True
                     if not won:  # open u under its unsettled successors
                         winners[u] = False
                         stack.append(u)
@@ -493,17 +511,14 @@ def solve(game: Game) -> Solution:
                                 raise InternalError(
                                     "game graph has a cycle; plays must be "
                                     "finite")
-                    elif first is None:  # u's owner loses; any move does
-                        winners[u] = FORALL if owner == EXISTS else EXISTS
-                        strategies[owner][u] = succs[0]
-                    else:
+                    elif wins:
                         winners[u] = owner
-                        strategies[owner][u] = first
+                    else:  # u's owner loses
+                        winners[u] = FORALL if owner == EXISTS else EXISTS
             if not stack:
                 break
             u = stack.pop()
-    winner = winners[game.start]
-    return Solution(winner, winners, strategies[winner])
+    return Solution(winners[game.start], winners, game)
 
 
 def check_via_games(lts: Lts, state: int, phi: Formula,

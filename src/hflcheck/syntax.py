@@ -536,7 +536,10 @@ def measures(phi: Formula):
 
 
 def desugar_vec(phi: Formula) -> Formula:
-    """Remove every MuVec node via the parametrised nested-fixpoint form."""
+    """Remove every MuVec node via the parametrised nested-fixpoint form;
+    a formula with none is returned as it is, after one scan."""
+    if not any(isinstance(f, MuVec) for f in iter_nodes(phi)):
+        return phi
 
     def step(f: Formula, kids) -> Formula:
         if isinstance(f, MuVec):

@@ -8,11 +8,12 @@ frozensets, explicit iteration, direct graph walks.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 from hflcheck.denote import Func, Ground, cardinality, element_at, leq, pack
 from hflcheck.encodings import counter_formula
 from hflcheck.errors import BoundBudgetError, InternalError, TypeError_, VarianceError
-from hflcheck.games import EXISTS, FORALL, WIN_A, WIN_E, Solution
+from hflcheck.games import EXISTS, FORALL, WIN_A, WIN_E
 from hflcheck.syntax import (
     App,
     Dia,
@@ -496,10 +497,17 @@ def topological_order(game):
     return order
 
 
-def reference_solve(game) -> Solution:
+class ReferenceSolution(NamedTuple):
+    winner: str
+    winners: list
+    strategy: dict  # node -> chosen successor, total on the winner's nodes
+
+
+def reference_solve(game) -> ReferenceSolution:
     """Backward induction along `topological_order` reversed, after a
-    separate pass over the kinds: the solver `games.solve` is checked
-    against."""
+    separate pass over the kinds, recording each winning move as it is
+    found: the solver `games.solve` and the strategy its `Solution`
+    derives are checked against it."""
     for u, k in enumerate(game.kinds):
         if k in (WIN_E, WIN_A):
             if game.edges[u]:
@@ -535,4 +543,4 @@ def reference_solve(game) -> Solution:
     for u, k in enumerate(game.kinds):
         if k == own_kind and u not in strategy:
             strategy[u] = game.edges[u][0]
-    return Solution(winner, winners, strategy)
+    return ReferenceSolution(winner, winners, strategy)

@@ -9,12 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from hflcheck import denote, games, semantics
 from hflcheck.cli import main
 from hflcheck.encodings import format_atm
-from hflcheck.lts import gen_counter_lts, load
+from hflcheck.errors import HflError
+from hflcheck.lts import gen_counter_lts, load, save
+from hflcheck.surface import print_formula
 
 import machines
 import oracles
+import randgen
 
 
 @pytest.fixture()
@@ -550,3 +554,66 @@ def test_engines_agree_on_compiled_machines(name, capsys, tmp_path):
             code = main(["check", "--lts", f"{base}.lts", "--formula",
                          f"{base}.hfl", "--state", "0", "--engine", engine])
             assert code == (0 if want else 1), (word, engine)
+
+
+def _typed_errors():
+    """The names of `HflError` and of every subclass of it."""
+    names, todo = set(), [HflError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+_BUDGETS = (("--enum-limit", denote.DEFAULT_ENUM_LIMIT),
+            ("--game-limit", games.DEFAULT_GAME_LIMIT),
+            ("--unfold-limit", semantics.DEFAULT_UNFOLD_BUDGET),
+            ("--size-limit", semantics.DEFAULT_SIZE_BUDGET))
+
+
+def test_budget_flags_refuse_with_a_typed_error_or_keep_the_verdict(
+        tmp_path, capsys):
+    # A budget only ever refuses: under any limits at most the defaults,
+    # a check exits 2 with a typed error and no traceback, or gives the
+    # verdict it gives under the defaults.  It never exits 1 on a refusal.
+    typed = _typed_errors()
+    rng = random.Random(19)
+    refused, kept = set(), 0
+    for n in range(60):
+        model = randgen.random_lts(rng, 3)
+        if n % 3:
+            phi = randgen.random_hfl_formula(
+                rng, randgen.HoGenConfig(max_depth=3))
+        else:
+            phi = randgen.random_mu_formula(rng, 4)
+        lts_path, phi_path = tmp_path / f"{n}.lts", tmp_path / f"{n}.hfl"
+        lts_path.write_text(save(model))
+        phi_path.write_text(print_formula(phi) + "\n")
+        for engine in ("naive", "demand", "elim-game"):
+            base = ["check", "--lts", str(lts_path), "--formula",
+                    str(phi_path), "--state", str(rng.randrange(model.n)),
+                    "--engine", engine]
+            want = main(base)
+            capsys.readouterr()
+            for _ in range(4):
+                flags = []
+                for flag, default in _BUDGETS:
+                    if rng.random() < 0.5:  # skewed to small limits, 0 too
+                        limit = int(default ** rng.random() ** 2)
+                        flags += [flag, str(limit - rng.randrange(2))]
+                got = main(base + flags)
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, (base, flags)
+                if got == 2:
+                    name = err[len("error["):err.find("]")]
+                    assert err.startswith("error[") and name in typed, (
+                        base, flags, err)
+                    if want != 2:
+                        refused.add(name)
+                else:
+                    assert got == want, (base, flags)
+                    kept += 1
+    assert kept
+    assert refused == {"EnumLimitError", "GameLimitError",
+                       "UnfoldBudgetError"}

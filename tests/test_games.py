@@ -4,11 +4,12 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
-from hflcheck.encodings import chi_formula, counter_formula
+from hflcheck.encodings import bit_formula, chi_formula, counter_formula
 from hflcheck.errors import (
     BudgetError,
     EnumLimitError,
@@ -264,6 +265,21 @@ def test_solve_matches_reference_solve_on_small_corpus_games(name, i, j):
         _assert_solves_like_reference(build_game(lts, state, fp_free))
 
 
+def test_solve_allocates_only_its_winners():
+    # `solve` keeps one winner per node (an 8-byte list slot) and derives
+    # no strategy; a node -> move table would cost some 50 bytes a node.
+    lts, fp_free = _counter_corpus_game("gt", 1, 3)
+    game = build_game(lts, 0, fp_free)
+    assert game.node_count == 1_153
+    tracemalloc.start()
+    try:
+        solve(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * game.node_count + 4096, peak
+
+
 def _hand_game(kinds, edges):
     return Game(kinds, [None] * len(kinds), [tuple(e) for e in edges], 0,
                 [], (0, 0))
@@ -432,6 +448,45 @@ def _counter_corpus_game(name, i=None, j=None, p=2):
     flat = desugar_vec(phi)
     typecheck(flat)
     return lts, eliminate_fixpoints(flat, lts)
+
+
+def _small_counter_corpus(p=2):
+    """The counter model and the eliminated formulas of the corpus entries
+    but the two quantified ones: each bit, and each comparison of two
+    numerals."""
+    lts = gen_counter_lts(p)
+    phis = [bit_formula(i, p) for i in range(2**p)] + [
+        apply_all(counter_formula(name, 0, p), chi_formula(i, 0, p),
+                  chi_formula(j, 0, p))
+        for i in range(2**p) for j in range(2**p)
+        for name in ("eq", "lt", "gt")]
+    out = []
+    for phi in phis:
+        flat = desugar_vec(phi)
+        typecheck(flat)
+        out.append(eliminate_fixpoints(flat, lts))
+    return lts, out
+
+
+def test_game_limit_is_exact_on_small_corpus_games():
+    # A build charges what each step adds before it adds it, so a limit
+    # of exactly the game's nodes plus edges builds the same game and one
+    # less refuses it, fans of guesses and picks included.
+    lts, fp_frees = _small_counter_corpus()
+    built = 0
+    for fp_free in fp_frees:
+        for state in range(lts.n):
+            game = build_game(lts, state, fp_free)
+            size = game.node_count + game.edge_count
+            assert size < 200_000
+            digest = _structure_digest(game, solve(game))
+            again = build_game(lts, state, fp_free, limit=size)
+            assert _structure_digest(again, solve(again)) == digest
+            with pytest.raises(GameLimitError) as err:
+                build_game(lts, state, fp_free, limit=size - 1)
+            assert (err.value.limit, err.value.actual) == (size - 1, size)
+            built += 1
+    assert built == 104
 
 
 def _structure_digest(game, solution):

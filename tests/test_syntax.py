@@ -303,6 +303,22 @@ def test_desugar_identity_without_vectors():
     assert desugar_vec(phi) is phi
 
 
+def test_desugar_without_vectors_only_scans(monkeypatch):
+    # A formula with no vector fixpoint is returned after one scan, with
+    # no rebuilding fold; one with a vector fixpoint is still rewritten.
+    from hflcheck import syntax
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("desugar_vec folded a formula without MuVec")
+
+    monkeypatch.setattr(syntax, "fold", refuse)
+    phi = Or(Prop("q"), Mu("X", PR, Dia("a", Var("X"))))
+    assert desugar_vec(phi) is phi
+    monkeypatch.undo()
+    vec = MuVec(1, (("X1", PR, Var("X1")),))
+    assert desugar_vec(Or(phi, vec)) == Or(phi, Mu("X1", PR, Var("X1")))
+
+
 def test_desugar_matches_native_evaluation():
     # simultaneous reachability system evaluated both ways, all components
     lts = make_lts(3, [(0, "a", 1), (1, "b", 2)], [(2, "q")])
