@@ -32,9 +32,11 @@ Payloads are tuples of ints, and successors tuples of ints or, for a fan
 of guess or pick nodes, a `range`.  The cyclic garbage collector never
 tracks a range and stops tracking such a tuple (nested tuples one level
 per collection), so a large game costs full collections little.  The builder
-expands nodes depth first from one stack; a fan is one stack item
-that hands out its nodes one at a time, in the order in which single items
-for each would be popped, and node numbers follow that order.
+expands nodes depth first from one stack, which holds configurations and
+fans: an application's fan of guesses, or a pick node's fan of choices, is
+a generator that makes its nodes at once and expands them from the last
+down, a few per step.  Whatever a step pushes is expanded before the fan's
+next step, and node numbers follow that order.
 """
 
 from __future__ import annotations
@@ -153,9 +155,8 @@ class _Builder:
         self.payloads: list = []
         self.edges: list = []
         self.index: dict = {}  # configuration key -> node
-        # Configuration nodes to expand, and fans of guess or pick nodes,
-        # each a [work, first, left, ...] item that hands out nodes first
-        # .. first + left - 1 from the last down.
+        # Configuration nodes to expand, and fans (see `guesses` and
+        # `choices`), each a generator that expands its nodes in steps.
         self.pending: list = []
         self.used = 0
 
@@ -274,18 +275,21 @@ class _Builder:
         return got
 
     def build(self, start_state):
-        start = self.config(start_state, (), (), self.target(self.phi, ()))
-        self.charge(0)
         pending = self.pending
-        while pending:
-            item = pending[-1]
-            if type(item) is int:
-                pending.pop()
-                self.expand_config(item)
-            elif len(item) == 3:
-                self.expand_guess(item)
-            else:
-                self.expand_pick(item)
+        try:
+            start = self.config(start_state, (), (), self.target(self.phi, ()))
+            self.charge(0)
+            while pending:
+                item = pending[-1]
+                if type(item) is int:
+                    pending.pop()
+                    self.expand_config(item)
+                elif next(item, True):  # a fan with no step left
+                    pending.pop()
+        finally:
+            # Suspended fans hold the builder: drop them, so that a refused
+            # build is freed without a cyclic collection.
+            pending.clear()
         return Game(self.kinds, self.payloads, self.edges, start,
                     self.formulas, fragment(self.types))
 
@@ -319,130 +323,108 @@ class _Builder:
             kind, out = EXISTS, (config(state, stack, values, data),)
         else:  # an application: the proponent guesses the argument
             self.kinds[idx] = EXISTS
-            count = data[3][0]
-            first = self.fan(idx, _GUESS, count)
-            # What every guess and challenge of this node reads: the
-            # configuration, its compiled data, the outcomes shared among
-            # guesses, and the last key parts (see `config`) of the
-            # function, the argument and the negated argument.
-            work = (state, stack, data, {}, *[
-                (tuple([values[p] for p in pos]), u) for u, pos in data[:3]])
-            self.pending.append([work, first, count])
+            self.pending.append(self.guesses(idx, state, stack, values, data))
             return
         self.kinds[idx] = kind
         self.edges[idx] = out
         self.charge(len(out))
 
-    def expand_guess(self, item):
-        """The opponent pushes the fan's next guess gi onto the function's
-        stack, or starts to challenge it at a pick root, expanded here."""
-        work, first, gi = item
-        gi -= 1
-        if gi:
-            item[2] = gi
-        else:
-            self.pending.pop()
-        state, stack, app, outcomes, part, _, _ = work
-        key = (state, (gi,) + stack, part)
-        function = self.index.get(key)
-        if function is None:
-            function = self.add(key)
-        root = len(self.kinds)
-        self.kinds.append(FORALL)
-        self.payloads.append(app[5][0])  # ("pick", 0)
-        self.edges.append(None)
-        self.edges[first + gi] = (function, root)
-        self.used += 3
-        if self.used > self.limit:
-            self.charge(0)
-        if len(app[3]) > 1:
-            self.pick_fan(work, gi, (), root)
-            return
-        # A ground argument: the root picks the state at once.
-        out = outcomes.get(gi)
-        if out is None:
-            out = outcomes[gi] = self.challenge(work, (), gi)
-        self.edges[root] = out
-        self.used += len(out)
-        if self.used > self.limit:
-            self.charge(0)
+    def guesses(self, idx, state, stack, values, data):
+        """Application node idx's fan of guesses, one guess per step from
+        the last down: the opponent pushes guess gi onto the function's
+        stack, or challenges it at a pick root."""
+        _, _, _, sizes, _, picks = data
+        first = self.fan(idx, _GUESS, sizes[0])
+        # The last key parts (see `config`) of the function, the argument
+        # and the negated argument, and the challenge outcomes that the
+        # guesses share (see `choices`).
+        part, *parts = [(tuple([values[p] for p in pos]), u)
+                        for u, pos in data[:3]]
+        outcomes: dict = {}
+        kinds, payloads, edges, index = (self.kinds, self.payloads,
+                                         self.edges, self.index)
+        for gi in range(sizes[0] - 1, -1, -1):
+            key = (state, (gi,) + stack, part)
+            function = index.get(key)
+            if function is None:
+                function = self.add(key)
+            root = len(kinds)
+            kinds.append(FORALL)
+            payloads.append(picks[0])
+            edges.append(None)
+            edges[first + gi] = (function, root)
+            self.used += 3
+            if self.used > self.limit:
+                self.charge(0)
+            if len(sizes) > 1:
+                self.pending.append(
+                    self.choices(root, data, outcomes, parts, gi, ()))
+            else:  # a ground argument: the root picks the state at once
+                out = outcomes.get(gi)
+                if out is None:
+                    out = outcomes[gi] = self.challenge(parts, (), gi)
+                edges[root] = out
+                self.used += len(out)
+                if self.used > self.limit:
+                    self.charge(0)
+            yield
 
-    def pick_fan(self, work, gi, hs, idx):
-        """Give pick node idx, at arguments hs picked so far, the choices
-        of the next argument, and queue them."""
-        _, _, _, sizes, _, picks = work[2]
+    def choices(self, idx, data, outcomes, parts, gi, hs):
+        """Pick node idx's fan of the choices of the next argument, for
+        guess gi challenged at arguments hs so far.  Before the last
+        argument a step pushes one choice's own fan, from the last choice
+        down.  The last argument's choices are the leaves, filled from the
+        last down; a step ends where one makes a configuration, which is
+        expanded before the next leaf.  A fan whose leaves all reuse
+        outcomes is filled in one step."""
+        _, _, _, sizes, widths, picks = data
         k = len(hs) + 1
-        first = self.fan(idx, picks[k], sizes[k])
-        item = [work, first, sizes[k], gi, hs]
-        self.pending.append(item)
-        if k + 1 == len(sizes):
-            self.leaves(item, True)
-
-    def expand_pick(self, item):
-        """The fan's next pick node fans out the choices of the argument
-        after it, or the fan's leaves are filled."""
-        work, first, hi, gi, hs = item
-        if len(hs) + 2 == len(work[2][3]):
-            self.leaves(item, False)
+        count = sizes[k]
+        first = self.fan(idx, picks[k], count)
+        if k + 1 < len(sizes):
+            for hi in range(count - 1, -1, -1):
+                self.pending.append(self.choices(
+                    first + hi, data, outcomes, parts, gi, hs + (hi,)))
+                yield
             return
-        hi -= 1
-        if hi:
-            item[2] = hi
-        else:
-            self.pending.pop()
-        self.pick_fan(work, gi, hs + (hi,), first + hi)
-
-    def leaves(self, item, fresh):
-        """Fill the item's leaves, which pick the last argument, from the
-        last down until one makes a configuration: that is expanded before
-        the next leaf.  A `fresh` fan whose leaves all reuse outcomes is
-        filled at once."""
-        work, first, left, gi, hs = item
-        widths = work[2][4]
         for a, w in zip(hs, widths):
             gi = denote.entry_index(gi, a, w)
         w = widths[-1]
         mask = (1 << w) - 1
         # The outcomes depend on the guess only through its value at the
         # picked arguments, so every guess that agrees there shares them.
-        outcomes = work[3]
         shared = outcomes.get(hs)
         if shared is None:
             shared = outcomes[hs] = {}
         n = self.lts.n
         edges = self.edges
-        if fresh:
-            outs = [shared.get(hi << w | gi >> hi * w & mask)
-                    for hi in range(left)]
-            if None not in outs:
-                edges[first:first + left] = outs
-                self.pending.pop()
-                self.charge(n * left)
-                return
+        outs = [shared.get(hi << w | gi >> hi * w & mask)
+                for hi in range(count)]
+        if None not in outs:
+            edges[first:first + count] = outs
+            self.charge(n * count)
+            return
         kinds = self.kinds
-        while left:
-            left -= 1
-            if not left:
-                self.pending.pop()
-            g = gi >> left * w & mask
-            key = left << w | g
-            out = shared.get(key)
+        for hi in range(count - 1, -1, -1):
+            out = outs[hi]
             made = len(kinds)
             if out is None:
-                out = shared[key] = self.challenge(work, hs + (left,), g)
-            edges[first + left] = out
+                g = gi >> hi * w & mask
+                out = shared[hi << w | g] = self.challenge(parts, hs + (hi,),
+                                                           g)
+            edges[first + hi] = out
             self.used += n
             if self.used > self.limit:
                 self.charge(0)
             if made != len(kinds):
-                break
-        item[2] = left
+                yield
 
-    def challenge(self, work, picked, g) -> tuple:
+    def challenge(self, parts, picked, g) -> tuple:
         """Where a challenge at arguments `picked` of a guess whose value
         there is g leads: the opponent picks a state t and the argument,
-        negated unless t is in g, continues at t."""
-        part, negpart = work[5:]
+        negated unless t is in g, continues at t.  `parts` are the last
+        key parts of the argument and the negated argument."""
+        part, negpart = parts
         index = self.index
         out = []
         for t in range(self.lts.n):

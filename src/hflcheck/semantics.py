@@ -641,6 +641,7 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
     """
     phi = syntax.desugar_vec(phi)
     n = lts.n
+    renamed: set = set()  # lambda names given to binders that would capture
 
     def step(f: Formula, kids) -> Formula:
         if not isinstance(f, Mu):
@@ -649,7 +650,17 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
         if h > unfold_budget:
             raise UnfoldBudgetError(h, unfold_budget,
                                     f"of mu {f.var} needs {show_int(h)} unfoldings")
-        acc = approximant(syntax.rebuild(f, kids), h)
+        mu = syntax.rebuild(f, kids)
+        names = syntax.lambda_binder_names(mu.body) if mu.fv else frozenset()
+        if names & mu.fv:
+            # Every unfolding substitutes an approximant with mu's free
+            # names, so a binder of one of them above an occurrence of
+            # mu's variable would be renamed afresh each time, and the
+            # lambda names would grow with the unfoldings: rename it once.
+            mu = Mu(mu.var, mu.ty, substitute(mu.body, mu.var, Var(mu.var),
+                                              mu.fv))
+            renamed.update(syntax.lambda_binder_names(mu.body) - names)
+        acc = approximant(mu, h)
         size = syntax.dag_size(acc)
         if size > size_budget:
             raise UnfoldBudgetError(
@@ -663,7 +674,7 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
     max_arity = max(
         [0] + [len(uncurry(f.ty)) for f in syntax.iter_nodes(phi) if isinstance(f, Mu)]
     )
-    if len(after) > len(before) + max_arity:
+    if len(after) > len(before) + max_arity + len(renamed):
         raise InternalError(
             "elimination introduced more lambda names than the bound allows"
         )

@@ -354,12 +354,15 @@ def fresh_name(base: str, avoid) -> str:
             return cand
 
 
-def substitute(phi: Formula, name: str, repl: Formula) -> Formula:
+def substitute(phi: Formula, name: str, repl: Formula,
+               avoid: frozenset = frozenset()) -> Formula:
     """Replace every free occurrence of `name` in `phi` by `repl`.
 
-    Capture is avoided by renaming colliding binders of `phi` on demand.
+    Capture is avoided by renaming colliding binders of `phi` on demand:
+    those above an occurrence of `name` that bind a free name of `repl`,
+    or a name in `avoid`.
     """
-    fv_repl = free_vars(repl)
+    fv_repl = free_vars(repl) | avoid
 
     def enter(f: Formula):
         if name not in free_vars(f):

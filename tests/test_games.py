@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from hflcheck.denote import DEFAULT_ENUM_LIMIT
 from hflcheck.encodings import bit_formula, chi_formula, counter_formula
 from hflcheck.errors import (
     BudgetError,
@@ -24,6 +25,7 @@ from hflcheck.games import (
     WIN_A,
     WIN_E,
     Game,
+    _Builder,
     build_game,
     check_via_games,
     export_game,
@@ -553,6 +555,57 @@ def test_counter_corpus_game_exports_are_pinned(name, i, j, digests):
         game = build_game(lts, state, fp_free)
         text = export_game(game, "json", solve(game))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text,label,nodes,edges,digests", [
+    ("(\\(F:Pr^0 -> Pr^0 -> Pr)^0. F p (<a> q)) "
+     "(\\(X:Pr)^0. \\(Y:Pr)^0. X & !Y)", "p", 497, 652,
+     ("8a6210d3f92bee18d97b10354d9360a3ae56a54943b45dcbc75aeb1e7d334ee6",
+      "92a4cb1557c932c2d7c011fc5b76a50cf36b63e0b0008fd3ded7602b1487e04d")),
+    ("(\\(G:(Pr^0 -> Pr)^0 -> Pr^0 -> Pr)^0. G (\\(Z:Pr)^0. !Z) q) "
+     "(\\(H:Pr^0 -> Pr)^0. \\(Y:Pr)^0. H Y | <a> Y)", "q", 16_041, 22_730,
+     ("3ea49b33eaa68847edfa84577a86e9c67a6e480a7bacb554625bd4bbcd1abf19",
+      "64eb43ef07382607754250f1adb7ad1eb6b7ac4bdbd8e0b72c4e7744d3d12ec1")),
+], ids=["F:Pr->Pr->Pr", "G:(Pr->Pr)->Pr->Pr"])
+def test_two_argument_guess_games_are_pinned(text, label, nodes, edges,
+                                             digests):
+    # The guessed argument takes two arguments, so a challenge picks the
+    # first before the last: no other pinned game has a pick fan whose
+    # choices are not leaves.  The digests are the structure's and the
+    # JSON export's.
+    lts = make_lts(1, [(0, "a", 0)], [(0, label)])
+    phi = parse_formula(text)
+    typecheck(phi)
+    game = build_game(lts, 0, phi)
+    sol = solve(game)
+    assert (game.node_count, game.edge_count) == (nodes, edges)
+    assert sol.winner == EXISTS
+    exported = export_game(game, "json", sol)
+    assert (_structure_digest(game, sol),
+            hashlib.sha256(exported.encode()).hexdigest()) == digests
+
+
+def test_refused_build_frees_its_builder():
+    # A refused build leaves nothing that holds its builder in a cycle, so
+    # the builder and its partial game are freed once the error is, with
+    # no cyclic collection.
+    lts, fp_free = _counter_corpus_game("forall")
+    refs = []
+
+    def refused():
+        builder = _Builder(lts, fp_free, 200_000, DEFAULT_ENUM_LIMIT)
+        refs.append(weakref.ref(builder))
+        builder.build(0)
+
+    gc.disable()
+    try:
+        try:
+            refused()
+        except GameLimitError:
+            pass
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def _configurations(game):

@@ -60,6 +60,13 @@ def test_load_errors():
         load("states 1\ntrans 0 a 3")
     with pytest.raises(LtsFormatError):
         load("states 1\nfoo 1 2")
+    for text in ("states 0",  # no states
+                 "states 1 2",  # header arity
+                 "states 1\nlabel",  # label arity
+                 "states 1\ntrans 0 a",  # trans arity
+                 "states 1\ntrans 0 a x"):  # non-integer state
+        with pytest.raises(LtsFormatError):
+            load(text)
 
 
 @pytest.mark.parametrize("state", ["5", "-1"])

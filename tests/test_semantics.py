@@ -223,6 +223,20 @@ def test_eliminate_respects_lambda_name_bound():
         ) + max(arities, default=0)
 
 
+def test_eliminate_renames_a_capturing_binder_once():
+    # The inner \X would capture the X free in every approximant of mu Y,
+    # so it is renamed once, before unfolding: one lambda name more,
+    # however many unfoldings the model's size asks for.
+    from hflcheck.syntax import lambda_binder_names
+
+    phi = parse_formula("(\\(X:Pr)^+. mu (Y:Pr). X | (\\(X:Pr)^+. Y) p) q")
+    for n in (2, 5, 9):
+        lts = gen_chain(n)
+        flat = eliminate_fixpoints(phi, lts)
+        assert len(lambda_binder_names(flat)) == 2
+        assert evaluate(lts, flat) == evaluate(lts, phi)
+
+
 def test_engine_agreement():
     rng = random.Random(47)
     for _ in range(300):
