@@ -12,12 +12,13 @@ recursion, so the depth of a formula is bounded by memory, not by the
 interpreter's recursion limit.  `substitute`, `desugar_vec`, `tree_size`,
 the alpha-canonical ids of `Interner`, fixpoint elimination and the
 evaluator's compiler are each one `step` over it; `rebuild`, the inverse
-of `children`, makes the new node.
+of `children`, makes the new node.  The Fischer-Ladner closure walks
+(node, negated) pairs instead, as the game builder's moves read them.
+A fresh name comes from the names at hand, never from process state.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -338,20 +339,16 @@ def lambda_binder_names(phi: Formula) -> frozenset:
 # ---------------------------------------------------------------------------
 # Substitution
 
-_fresh_counter = itertools.count(1)
-
 
 def fresh_name(base: str, avoid) -> str:
-    """A grammar-legal name not in `avoid`, derived from `base`.
-
-    The global counter is the one mutable facility here; advancing it is
-    atomic under CPython, so concurrent checks stay race-free.
-    """
+    """The first of stem1, stem2, ... not in `avoid`, where stem is `base`
+    without its trailing digits: a grammar-legal name that depends on the
+    arguments alone."""
     stem = base.rstrip("0123456789") or base
-    while True:
-        cand = f"{stem}{next(_fresh_counter)}"
-        if cand not in avoid:
-            return cand
+    i = 1
+    while f"{stem}{i}" in avoid:
+        i += 1
+    return f"{stem}{i}"
 
 
 def substitute(phi: Formula, name: str, repl: Formula,
@@ -373,15 +370,12 @@ def substitute(phi: Formula, name: str, repl: Formula,
         if isinstance(f, MuVec) and any(v in fv_repl for v, _, _ in f.bindings):
             bindings = f.bindings
             for v, _, _ in f.bindings:
-                if v in fv_repl:
-                    avoid = set(fv_repl) | {name}
-                    for _, _, bb in bindings:
-                        avoid |= bb.fv
-                    v2 = fresh_name(v, avoid)
-                    bindings = [
-                        (w if w != v else v2, tw, substitute(bw, v, Var(v2)))
-                        for w, tw, bw in bindings
-                    ]
+                if v in fv_repl:  # v2 avoids every binder and free name
+                    v2 = fresh_name(v, fv_repl.union(
+                        {name}, *[b.fv | {w} for w, _, b in bindings]))
+                    bindings = [(v2 if w == v else w, t,
+                                 substitute(b, v, Var(v2)))
+                                for w, t, b in bindings]
             return MuVec(f.index, tuple(bindings))
         return f
 
@@ -476,62 +470,63 @@ def fl_closure(phi: Formula):
 
 
 def _closure_reps(phi: Formula) -> list:
-    """One representative per alpha-class of the closure.  Classes are
-    told apart by canonical id, never by structural hashing, which walks
-    the whole unfolded tree of a shared DAG.  A vector fixpoint stands
-    for its Bekic form, so the closure is that of `desugar_vec(phi)`."""
-    phi = desugar_vec(phi)
+    """One representative per alpha-class of the closure of
+    `desugar_vec(phi)`, the root's first.
+
+    The walk visits each (node, negated) pair once, by identity; a
+    positive `Neg(h)` is the pair (h, True).  A pair moves on as a game
+    configuration does, at its own polarity, but to an application's
+    argument at both; `!!x` goes to x, a negated `mu X. b` to the negated
+    `b[X := !X]`, and a negated variable or proposition to the positive
+    one.  `seen` keeps every node visited, so no id is reused.  Classes
+    are keyed by (canonical id, negated), which partitions as the negated
+    formulas' ids would, with no structural hashing of a shared DAG.
+    """
     interner = Interner()
-    reps: dict = {}
+    reps: dict = {}  # (canonical id, negated) -> representative
+    seen: dict = {}  # (id(node), negated) -> node
     work = []
 
-    def add(f: Formula):
-        cid = interner.canon(f)
-        if cid not in reps:
-            reps[cid] = f
-            work.append(f)
+    def visit(f: Formula, negated: bool):
+        if type(f) is Neg and not negated:
+            f, negated = f.body, True
+        if (id(f), negated) not in seen:
+            seen[id(f), negated] = f
+            work.append((f, negated))
 
-    add(phi)
+    visit(desugar_vec(phi), False)
     while work:
-        f = work.pop()
-        if isinstance(f, Or):
-            add(f.left)
-            add(f.right)
-        elif isinstance(f, Dia):
-            add(f.body)
-        elif isinstance(f, App):
-            add(f.func)
-            add(f.arg)
-            add(Neg(f.arg))
-        elif isinstance(f, (Lam, Mu)):
-            add(f.body)
-        elif isinstance(f, Neg):
-            g = f.body
-            if isinstance(g, Or):
-                add(Neg(g.left))
-                add(Neg(g.right))
-            elif isinstance(g, Dia):
-                add(Neg(g.body))
-            elif isinstance(g, App):
-                add(Neg(g.func))
-                add(g.arg)
-                add(Neg(g.arg))
-            elif isinstance(g, Lam):
-                add(Neg(g.body))
-            elif isinstance(g, Mu):
-                add(Neg(substitute(g.body, g.var, Neg(Var(g.var)))))
-            elif isinstance(g, Neg):
-                add(g.body)
-            elif isinstance(g, (Var, Prop)):
-                add(g)
+        f, negated = work.pop()
+        key = (interner.canon(f), negated)
+        if key not in reps:
+            reps[key] = Neg(f) if negated else f
+        t = type(f)
+        if t is Or:
+            visit(f.left, negated)
+            visit(f.right, negated)
+        elif t is Dia or t is Lam:
+            visit(f.body, negated)
+        elif t is App:
+            visit(f.func, negated)
+            visit(f.arg, False)
+            visit(f.arg, True)
+        elif t is Neg:  # only ever negated: !!x
+            visit(f.body, False)
+        elif t is Mu:
+            visit(substitute(f.body, f.var, Neg(Var(f.var))) if negated
+                  else f.body, negated)
+        elif negated:  # a variable or proposition
+            visit(f, False)
     return list(reps.values())
 
 
 def measures(phi: Formula):
-    """(closure size, number of distinct lambda-bound variable names)."""
+    """(closure size, number of distinct lambda-bound variable names).
+    The names are those of the lambdas the closure walk meets, at either
+    polarity: the lambdas of its root, `closure[0]`, and their copies in
+    a negated mu's substituted body, which bind the same names."""
     closure = _closure_reps(phi)
-    lam_vars = {f.var for f in closure if isinstance(f, Lam)}
-    return len(closure), len(lam_vars)
+    return len(closure), len(lambda_binder_names(closure[0]))
 
 
 # ---------------------------------------------------------------------------

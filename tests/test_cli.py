@@ -182,6 +182,25 @@ def test_check_json_deterministic(files, capsys):
     assert "wall_seconds" not in doc["stats"]
 
 
+def test_reports_do_not_depend_on_process_history(tmp_path, capsys):
+    # The inner \X is renamed to avoid capture; the new name comes from
+    # the formula, so the same command prints the same report every time
+    # it runs in one process.
+    model = tmp_path / "two.lts"
+    model.write_text("states 2\nlabel 0 q\ntrans 0 a 1\n")
+    capture = tmp_path / "capture.hfl"
+    capture.write_text("(\\(X:Pr)^+. mu (Y:Pr). X | (\\(X:Pr)^+. Y) p) q\n")
+    query = ["--lts", str(model), "--formula", str(capture), "--state", "0"]
+    for args in (["game", *query, "--dump", "json"],
+                 ["check", *query, "--engine", "elim-game", "--json",
+                  "--no-timing"]):
+        outs = []
+        for _ in range(2):
+            assert main(args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], args
+
+
 def test_check_parse_error_is_exit_2(files, capsys, tmp_path):
     _, chain, _, _, _ = files
     bad = tmp_path / "bad.hfl"

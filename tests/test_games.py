@@ -233,19 +233,25 @@ def test_strategy_replay_fuzz():
         games_done += 1
 
 
-def _random_games(seed, count):
-    """`count` games over random 2-state systems and formulas, drawn with
-    the strategy replay fuzz's generator and budgets."""
+def _random_instances(seed, count):
+    """`count` (system, fixpoint-free formula, game from state 0) triples
+    over random 2-state systems and formulas, drawn with the strategy
+    replay fuzz's generator and budgets."""
     rng = random.Random(seed)
     while count:
         lts = randgen.random_lts(rng, 2)
         phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=3))
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
-            yield build_game(lts, 0, flat, 10**5)
+            game = build_game(lts, 0, flat, 10**5)
         except BudgetError:
             continue
+        yield lts, flat, game
         count -= 1
+
+
+def _random_games(seed, count):
+    return (game for _, _, game in _random_instances(seed, count))
 
 
 def _assert_solves_like_reference(game):
@@ -633,13 +639,16 @@ def test_configuration_formulas_lie_in_the_closure(name, i, j):
     _assert_configurations_lie_in_the_closure(*_counter_corpus_game(name, i, j))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "_closure_reps merges \\X.X into the alpha-equal \\Y.Y before it "
-    "descends, so the body X never enters the closure, yet the game has a "
-    "configuration at X"))
 def test_configuration_under_an_alpha_merged_lambda_lies_in_the_closure():
     phi = parse_formula("(\\(X:Pr)^+. X) p | (\\(Y:Pr)^+. Y) q")
     _assert_configurations_lie_in_the_closure(gen_chain(2), phi)
+
+
+def test_configurations_of_random_games_lie_in_the_closure():
+    # The closure walk descends into every lambda it meets, also one
+    # alpha-equal to a lambda met before, whose body the game still plays.
+    for lts, flat, _ in _random_instances(5, 296):
+        _assert_configurations_lie_in_the_closure(lts, flat)
 
 
 def _plain(x):

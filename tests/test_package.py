@@ -170,3 +170,24 @@ def test_no_process_wide_value_cache():
     assert found == {"encodings.bit_formula", "encodings.counter_formula",
                      "encodings.chi_formula", "cli.build_parser"}
     assert mentions == len(found)
+
+
+def _is_counter(node):
+    """Whether `node` calls `itertools.count` or a bare `count`."""
+    f = getattr(node, "func", None)
+    if isinstance(f, ast.Attribute):
+        return f.attr == "count" and getattr(f.value, "id", None) == "itertools"
+    return isinstance(f, ast.Name) and f.id == "count"
+
+
+def test_no_process_wide_counter():
+    # A module-level `itertools.count` makes what a call returns depend on
+    # the calls made before it in the process; fresh names are derived
+    # from the names at hand instead.
+    found = []
+    for path in sorted((ROOT / "src" / "hflcheck").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and any(map(_is_counter, ast.walk(node)))]
+    assert found == []

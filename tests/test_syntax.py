@@ -147,6 +147,20 @@ def test_measures_of_a_deeply_shared_dag():
     assert measures(f) == (65, 1)
 
 
+def test_measures_count_lambdas_met_at_either_polarity():
+    from hflcheck.surface import parse_formula
+
+    # The walk descends into a lambda reached only under negation, and
+    # into one alpha-equal to a lambda met before.
+    assert measures(parse_formula("!((\\(X:Pr)^+. X) p)")) == (6, 1)
+    assert measures(parse_formula(
+        "(\\(X:Pr)^+. X) p | (\\(Y:Pr)^+. Y) q")) == (10, 2)
+    rng = random.Random(31)
+    for _ in range(100):
+        phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=4))
+        assert measures(Neg(phi))[1] == measures(phi)[1]
+
+
 def _lambdas_renamed(phi):
     """A copy of phi with every lambda binder renamed to a fresh name."""
     def step(f, kids):
@@ -381,6 +395,23 @@ def test_substitution_into_a_vector_fixpoint_renames_a_capturing_binder():
     assert y2 != "Y" and ty == PR and got.index == 1
     assert body == Or(Var("Y"), Dia("a", Var(y2)))
     assert free_vars(got) == {"Y"}
+
+
+def test_vector_rename_keeps_the_binders_distinct():
+    # X captures the replacement's X; its new name must also avoid the
+    # sibling binder X1, which no body mentions.
+    vec = MuVec(1, (("X", PR, Or(Var("X"), Var("Z"))), ("X1", PR, Prop("p"))))
+    got = substitute(vec, "Z", Var("X"))
+    (x2, _, body), (x1, _, other) = got.bindings
+    assert len({x2, x1, "X"}) == 3 and x1 == "X1"
+    assert body == Or(Var(x2), Var("X")) and other == Prop("p")
+    assert free_vars(got) == {"X"}
+
+
+def test_fresh_names_depend_on_the_arguments_alone():
+    assert fresh_name("X", set()) == "X1"
+    assert fresh_name("X12", {"X1", "X2"}) == "X3"
+    assert [fresh_name("Y", {"Y", "Y1"}) for _ in range(3)] == ["Y2"] * 3
 
 
 def test_muvec_validation():
