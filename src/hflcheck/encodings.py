@@ -10,6 +10,12 @@ the counting arguments need the full function space.
 `atm_accepts` is the independent acceptance oracle: a direct recursion
 over machine configurations with the convention that revisiting a
 configuration along the current path rejects.
+
+`bit_formula`, `counter_formula` and `chi_formula` cache their formulas for
+the life of the process (`lru_cache(maxsize=None)`), safely: the keys are
+small ints and strings, formulas are frozen dataclasses, and fresh names
+depend only on the formula, so an entry does not depend on when it is
+made.  The tables grow only with the arguments a process asks for.
 """
 
 from __future__ import annotations

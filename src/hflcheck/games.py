@@ -31,12 +31,13 @@ all guesses that agree there.
 Payloads are tuples of ints, and successors tuples of ints or, for a fan
 of guess or pick nodes, a `range`.  The cyclic garbage collector never
 tracks a range and stops tracking such a tuple (nested tuples one level
-per collection), so a large game costs full collections little.  The builder
-expands nodes depth first from one stack, which holds configurations and
-fans: an application's fan of guesses, or a pick node's fan of choices, is
-a generator that makes its nodes at once and expands them from the last
-down, a few per step.  Whatever a step pushes is expanded before the fan's
-next step, and node numbers follow that order.
+per collection); still, the 9 full collections of a counter-games pass
+take some 5 % of its build and solve time.  The builder expands nodes depth
+first from one stack of configurations and fans, each fan a generator that
+expands its nodes from the last down.  A step ends only where it pushed
+work, a configuration or a fan, which is expanded before the next step;
+node numbers follow that order.  A pick fan whose leaves all reuse
+outcomes pushes nothing: it is made whole in its parent's step.
 """
 
 from __future__ import annotations
@@ -156,21 +157,23 @@ class _Builder:
         self.edges: list = []
         self.index: dict = {}  # configuration key -> node
         # Configuration nodes to expand, and fans (see `guesses` and
-        # `choices`), each a generator that expands its nodes in steps.
+        # `choices`): generators whose steps end only where they pushed.
         self.pending: list = []
         self.used = 0
 
     def target(self, f: Formula, scope: tuple, negate=False) -> tuple:
         """The number t of f, negated if asked (one Neg per f), and where
         each of its sorted free names sits in `scope`, the names whose
-        values the parent configuration carries."""
+        values the parent configuration carries; None where that is all
+        of `scope` in order, so that f's keys share the parent's values."""
         key = (id(f), negate)
         t = self.numbers.get(key)
         if t is None:
             t = self.numbers[key] = len(self.formulas)
             self.formulas.append(Neg(f) if negate else f)
             self.moves.append(None)
-        return t, tuple([scope.index(x) for x in sorted(f.fv)])
+        pos = tuple([scope.index(x) for x in sorted(f.fv)])
+        return t, None if pos == tuple(range(len(scope))) else pos
 
     def widths(self, ty) -> tuple:
         """The entry widths of ty's successive results, with which
@@ -224,12 +227,12 @@ class _Builder:
             return "neg", self.target(g.body, scope)
         raise InternalError(f"unhandled formula {f!r}")
 
-    def charge(self, count):
-        """Count `count` more nodes plus edges; refused past the limit.
-        Each step charges what it adds at once (the hottest inline this),
-        before it makes a domain's worth of nodes: it refuses in the step,
-        and with the count, where counting one by one would."""
-        self.used += count
+    def charge(self):
+        """Refuse the build if the nodes plus edges charged to `used` are
+        past the limit.  Each step adds what it makes to `used` at once,
+        and checks it, before it makes a domain's worth of nodes: it
+        refuses in the step, and with the count, where counting one by one
+        would.  A fan of leaves that all reuse outcomes is charged once."""
         if self.used > self.limit:
             try:
                 estimate, refusal = size_bound_for(
@@ -238,15 +241,17 @@ class _Builder:
                 estimate, refusal = None, e
             raise GameLimitError(self.limit + 1, self.limit, estimate, refusal)
 
-    def fan(self, idx, payload, count) -> int:
-        """Give idx `count` new opponent successors; the first's index."""
-        self.used += 2 * count
+    def fan(self, idx, payload, succs, cost=2) -> int:
+        """Give idx new opponent successors with successors `succs` (None
+        until filled), charged `cost` each; the first's index."""
+        count = len(succs)
+        self.used += cost * count
         if self.used > self.limit:
-            self.charge(0)
+            self.charge()
         first = len(self.kinds)
         self.kinds.extend([FORALL] * count)
         self.payloads.extend([payload] * count)
-        self.edges.extend([None] * count)
+        self.edges.extend(succs)
         self.edges[idx] = range(first, first + count)
         return first
 
@@ -259,7 +264,8 @@ class _Builder:
         values of its free variables only, and t.
         """
         t, pos = target
-        key = (state, stack, (tuple([values[p] for p in pos]), t))
+        key = (state, stack, (values if pos is None else
+                              tuple([values[p] for p in pos]), t))
         got = self.index.get(key)
         return self.add(key) if got is None else got
 
@@ -278,7 +284,7 @@ class _Builder:
         pending = self.pending
         try:
             start = self.config(start_state, (), (), self.target(self.phi, ()))
-            self.charge(0)
+            self.charge()
             while pending:
                 item = pending[-1]
                 if type(item) is int:
@@ -300,49 +306,54 @@ class _Builder:
             entry = self.moves[t] = self.compile(t)
         tag, data = entry
         config = self.config
-        if tag == "prop":
-            kind, out = data[state], ()
+        if tag == "or":
+            kind = data[0]
+            out = (config(state, (), values, data[1]),
+                   config(state, (), values, data[2]))
+        elif tag == "lam":
+            kind, out = EXISTS, (config(state, stack[1:],
+                                        values + (stack[0],), data),)
+        elif tag == "app":  # the proponent guesses the argument
+            self.kinds[idx] = EXISTS
+            self.pending.append(self.guesses(idx, state, stack, values, data))
+            return
+        elif tag == "neg":
+            kind, out = EXISTS, (config(state, stack, values, data),)
         elif tag == "var":
             widths, win, lose = data
             val = values[0]
             for a, w in zip(stack, widths):
                 val = denote.entry_index(val, a, w)
             kind, out = (win if val >> state & 1 else lose), ()
-        elif tag == "or":
-            kind = data[0]
-            out = (config(state, (), values, data[1]),
-                   config(state, (), values, data[2]))
         elif tag == "dia":
             succs = self.lts.successors(state, data[2])
             kind = data[0] if succs else data[1]
             out = tuple([config(s, (), values, data[3]) for s in succs])
-        elif tag == "lam":
-            kind, out = EXISTS, (config(state, stack[1:],
-                                        values + (stack[0],), data),)
-        elif tag == "neg":
-            kind, out = EXISTS, (config(state, stack, values, data),)
-        else:  # an application: the proponent guesses the argument
-            self.kinds[idx] = EXISTS
-            self.pending.append(self.guesses(idx, state, stack, values, data))
-            return
+        else:
+            kind, out = data[state], ()
         self.kinds[idx] = kind
         self.edges[idx] = out
-        self.charge(len(out))
+        self.used += len(out)
+        if self.used > self.limit:
+            self.charge()
 
     def guesses(self, idx, state, stack, values, data):
-        """Application node idx's fan of guesses, one guess per step from
-        the last down: the opponent pushes guess gi onto the function's
-        stack, or challenges it at a pick root."""
+        """Application node idx's fan of guesses, from the last down: the
+        opponent pushes guess gi onto the function's stack, or challenges
+        it at a pick root.  A step ends only where it pushed work."""
         _, _, _, sizes, _, picks = data
-        first = self.fan(idx, _GUESS, sizes[0])
+        first = self.fan(idx, _GUESS, [None] * sizes[0])
         # The last key parts (see `config`) of the function, the argument
         # and the negated argument, and the challenge outcomes that the
-        # guesses share (see `choices`).
-        part, *parts = [(tuple([values[p] for p in pos]), u)
+        # guesses share (see `pick_fan`).
+        part, *parts = [(values if pos is None else
+                         tuple([values[p] for p in pos]), u)
                         for u, pos in data[:3]]
         outcomes: dict = {}
-        kinds, payloads, edges, index = (self.kinds, self.payloads,
-                                         self.edges, self.index)
+        kinds, payloads, edges, index, pending = (
+            self.kinds, self.payloads, self.edges, self.index, self.pending)
+        depth = len(pending)
+        ground = len(sizes) == 1
         for gi in range(sizes[0] - 1, -1, -1):
             key = (state, (gi,) + stack, part)
             function = index.get(key)
@@ -355,68 +366,71 @@ class _Builder:
             edges[first + gi] = (function, root)
             self.used += 3
             if self.used > self.limit:
-                self.charge(0)
-            if len(sizes) > 1:
-                self.pending.append(
-                    self.choices(root, data, outcomes, parts, gi, ()))
-            else:  # a ground argument: the root picks the state at once
-                out = outcomes.get(gi)
-                if out is None:
-                    out = outcomes[gi] = self.challenge(parts, (), gi)
-                edges[root] = out
+                self.charge()
+            if ground:  # a ground argument: the root picks the state at once
+                edges[root] = out = self.challenge(parts, (), gi)
                 self.used += len(out)
                 if self.used > self.limit:
-                    self.charge(0)
-            yield
+                    self.charge()
+            else:
+                self.pick_fan(root, data, outcomes, parts, gi, ())
+            if len(pending) != depth:
+                yield
 
-    def choices(self, idx, data, outcomes, parts, gi, hs):
-        """Pick node idx's fan of the choices of the next argument, for
-        guess gi challenged at arguments hs so far.  Before the last
-        argument a step pushes one choice's own fan, from the last choice
-        down.  The last argument's choices are the leaves, filled from the
-        last down; a step ends where one makes a configuration, which is
-        expanded before the next leaf.  A fan whose leaves all reuse
-        outcomes is filled in one step."""
+    def pick_fan(self, idx, data, outcomes, parts, gi, hs):
+        """Give pick node idx its fan of the choices of the next argument,
+        for guess gi challenged at arguments hs so far.  A fan of the last
+        argument's choices, leaves whose edges are outcomes, that all reuse
+        outcomes is made whole here; any other is left to `choices`."""
         _, _, _, sizes, widths, picks = data
         k = len(hs) + 1
-        count = sizes[k]
-        first = self.fan(idx, picks[k], count)
-        if k + 1 < len(sizes):
-            for hi in range(count - 1, -1, -1):
-                self.pending.append(self.choices(
-                    first + hi, data, outcomes, parts, gi, hs + (hi,)))
-                yield
-            return
-        for a, w in zip(hs, widths):
-            gi = denote.entry_index(gi, a, w)
-        w = widths[-1]
-        mask = (1 << w) - 1
-        # The outcomes depend on the guess only through its value at the
-        # picked arguments, so every guess that agrees there shares them.
-        shared = outcomes.get(hs)
-        if shared is None:
-            shared = outcomes[hs] = {}
-        n = self.lts.n
+        leaves = k + 1 == len(sizes)
+        if not leaves:
+            self.fan(idx, picks[k], [None] * sizes[k])
+        else:
+            for a, w in zip(hs, widths):
+                gi = denote.entry_index(gi, a, w)
+            w = widths[-1]
+            mask = (1 << w) - 1
+            # The outcomes depend on the guess only through its value at
+            # the picked arguments: the guesses that agree there share them.
+            shared = outcomes.get(hs)
+            if shared is None:
+                shared = outcomes[hs] = {}
+            outs = [shared.get(hi << w | gi >> hi * w & mask)
+                    for hi in range(sizes[k])]
+            if None not in outs:
+                self.fan(idx, picks[k], outs, 2 + self.lts.n)
+                return
+            self.fan(idx, picks[k], outs)
+            outcomes = shared
+        self.pending.append(
+            self.choices(idx, data, outcomes, parts, gi, hs, leaves))
+
+    def choices(self, idx, data, outcomes, parts, gi, hs, leaves):
+        """The choices of pick node idx's fan, made by `pick_fan`, from the
+        last down; a step ends only where it pushed work.  Before the last
+        argument each choice gets its own fan.  In a fan of `leaves` each
+        is charged in turn; one with no outcome yet (None) challenges gi,
+        the guess's entry at hs, and records the outcome in `outcomes`."""
+        pending = self.pending
+        depth = len(pending)
         edges = self.edges
-        outs = [shared.get(hi << w | gi >> hi * w & mask)
-                for hi in range(count)]
-        if None not in outs:
-            edges[first:first + count] = outs
-            self.charge(n * count)
-            return
-        kinds = self.kinds
-        for hi in range(count - 1, -1, -1):
-            out = outs[hi]
-            made = len(kinds)
-            if out is None:
-                g = gi >> hi * w & mask
-                out = shared[hi << w | g] = self.challenge(parts, hs + (hi,),
-                                                           g)
-            edges[first + hi] = out
-            self.used += n
-            if self.used > self.limit:
-                self.charge(0)
-            if made != len(kinds):
+        choice = edges[idx]
+        w = data[4][-1]
+        for hi in range(len(choice) - 1, -1, -1):
+            if not leaves:
+                self.pick_fan(choice[hi], data, outcomes, parts, gi,
+                              hs + (hi,))
+            else:
+                if edges[choice[hi]] is None:
+                    g = denote.entry_index(gi, hi, w)
+                    edges[choice[hi]] = outcomes[hi << w | g] = (
+                        self.challenge(parts, hs + (hi,), g))
+                self.used += self.lts.n
+                if self.used > self.limit:
+                    self.charge()
+            if len(pending) != depth:
                 yield
 
     def challenge(self, parts, picked, g) -> tuple:

@@ -617,8 +617,10 @@ def test_check_of_a_missing_file_is_exit_2(two_states, tmp_path, capsys):
 def test_engines_agree_on_compiled_machines(name, capsys, tmp_path):
     # A compiled machine is one vector fixpoint, which both evaluation
     # engines solve jointly: the tabulating one iterates every component's
-    # table together, the demand one solves the components locally.  (Its
-    # game outgrows the default game limit.)
+    # table together, the demand one solves the components locally.  (The
+    # game of these p = 2 instances, which spell the word out, outgrows the
+    # default game limit; at p = 1 the game procedure decides the instances
+    # that carry the word in state labels.)
     from hflcheck.encodings import atm_accepts
 
     machine = tmp_path / "m.atm"

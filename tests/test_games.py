@@ -20,6 +20,7 @@ from hflcheck.errors import (
     VarianceError,
 )
 from hflcheck.games import (
+    DEFAULT_GAME_LIMIT,
     EXISTS,
     FORALL,
     WIN_A,
@@ -563,32 +564,62 @@ def test_counter_corpus_game_exports_are_pinned(name, i, j, digests):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("text,label,nodes,edges,digests", [
+# Formulas whose guessed argument takes two arguments, so that a challenge
+# picks the first before the last, and the label of their one state.
+_TWO_ARGUMENT_GUESSES = [
     ("(\\(F:Pr^0 -> Pr^0 -> Pr)^0. F p (<a> q)) "
-     "(\\(X:Pr)^0. \\(Y:Pr)^0. X & !Y)", "p", 497, 652,
+     "(\\(X:Pr)^0. \\(Y:Pr)^0. X & !Y)", "p"),
+    ("(\\(G:(Pr^0 -> Pr)^0 -> Pr^0 -> Pr)^0. G (\\(Z:Pr)^0. !Z) q) "
+     "(\\(H:Pr^0 -> Pr)^0. \\(Y:Pr)^0. H Y | <a> Y)", "q"),
+]
+_TWO_ARGUMENT_IDS = ["F:Pr->Pr->Pr", "G:(Pr->Pr)->Pr->Pr"]
+
+
+def _two_argument_guess_game(text, label, limit=DEFAULT_GAME_LIMIT):
+    lts = make_lts(1, [(0, "a", 0)], [(0, label)])
+    phi = parse_formula(text)
+    typecheck(phi)
+    return build_game(lts, 0, phi, limit)
+
+
+@pytest.mark.parametrize("text,label,nodes,edges,digests", [
+    (*_TWO_ARGUMENT_GUESSES[0], 497, 652,
      ("8a6210d3f92bee18d97b10354d9360a3ae56a54943b45dcbc75aeb1e7d334ee6",
       "92a4cb1557c932c2d7c011fc5b76a50cf36b63e0b0008fd3ded7602b1487e04d")),
-    ("(\\(G:(Pr^0 -> Pr)^0 -> Pr^0 -> Pr)^0. G (\\(Z:Pr)^0. !Z) q) "
-     "(\\(H:Pr^0 -> Pr)^0. \\(Y:Pr)^0. H Y | <a> Y)", "q", 16_041, 22_730,
+    (*_TWO_ARGUMENT_GUESSES[1], 16_041, 22_730,
      ("3ea49b33eaa68847edfa84577a86e9c67a6e480a7bacb554625bd4bbcd1abf19",
       "64eb43ef07382607754250f1adb7ad1eb6b7ac4bdbd8e0b72c4e7744d3d12ec1")),
-], ids=["F:Pr->Pr->Pr", "G:(Pr->Pr)->Pr->Pr"])
+], ids=_TWO_ARGUMENT_IDS)
 def test_two_argument_guess_games_are_pinned(text, label, nodes, edges,
                                              digests):
     # The guessed argument takes two arguments, so a challenge picks the
     # first before the last: no other pinned game has a pick fan whose
     # choices are not leaves.  The digests are the structure's and the
     # JSON export's.
-    lts = make_lts(1, [(0, "a", 0)], [(0, label)])
-    phi = parse_formula(text)
-    typecheck(phi)
-    game = build_game(lts, 0, phi)
+    game = _two_argument_guess_game(text, label)
     sol = solve(game)
     assert (game.node_count, game.edge_count) == (nodes, edges)
     assert sol.winner == EXISTS
     exported = export_game(game, "json", sol)
     assert (_structure_digest(game, sol),
             hashlib.sha256(exported.encode()).hexdigest()) == digests
+
+
+@pytest.mark.parametrize("text,label", _TWO_ARGUMENT_GUESSES,
+                         ids=_TWO_ARGUMENT_IDS)
+def test_game_limit_is_exact_on_two_argument_guess_games(text, label):
+    # The check of test_game_limit_is_exact_on_small_corpus_games on the
+    # only games with nested pick fans, whose leaves are made in the step
+    # of the fan above them, or by a fan of their own where an outcome is
+    # new.
+    game = _two_argument_guess_game(text, label)
+    size = game.node_count + game.edge_count
+    digest = _structure_digest(game, solve(game))
+    again = _two_argument_guess_game(text, label, limit=size)
+    assert _structure_digest(again, solve(again)) == digest
+    with pytest.raises(GameLimitError) as err:
+        _two_argument_guess_game(text, label, limit=size - 1)
+    assert (err.value.limit, err.value.actual) == (size - 1, size)
 
 
 def test_refused_build_frees_its_builder():
