@@ -1,4 +1,4 @@
-"""Inside the decision procedure: elimination, game, backward induction.
+"""Inside the decision procedure: elimination, game, local solve.
 
 Model checking runs in two steps: every fixpoint is replaced by finitely
 many unfoldings (the lattice height bounds how many), then the
@@ -30,7 +30,8 @@ game = build_game(model, 0, flat)
 print(f"game: {game.node_count} nodes, {game.edge_count} edges")
 
 solution = solve(game)
-print("winner at the start node:", solution.winner)
+print(f"winner at the start node: {solution.winner}, settling "
+      f"{solution.explored} of {game.node_count} nodes")
 assert solution.winner == EXISTS  # state 2 is reachable from 0
 
 dot = export_game(game, "dot", solution)

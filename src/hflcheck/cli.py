@@ -54,13 +54,14 @@ def cmd_check(args) -> int:
         enum_limit=args.enum_limit,
     )
     started = time.monotonic()
-    game_nodes = game_edges = None
+    game_nodes = game_edges = game_nodes_explored = None
     bounds = {}
     if args.engine == "elim-game":
         fp_free, game, solution = pipeline.play(
             model, args.state, phi, args.game_limit, args.enum_limit,
             args.unfold_limit, args.size_limit)
         game_nodes, game_edges = game.node_count, game.edge_count
+        game_nodes_explored = solution.explored
         if args.json:  # only the report prints the bound
             try:
                 bound = games.size_bound_for(fp_free, model, game.order_arity)
@@ -87,6 +88,7 @@ def cmd_check(args) -> int:
                 "memo_hits": cfg.stats.memo_hits,
                 "game_nodes": game_nodes,
                 "game_edges": game_edges,
+                "game_nodes_explored": game_nodes_explored,
             },
         }
         if not args.no_timing:

@@ -10,10 +10,12 @@ polarity.  The opponent's tuple choice is decomposed into a chain of
 single choices, which preserves winners because every link belongs to the
 opponent.  Terminals are classified by the literal winning conditions,
 including stuck modalities.  Every move strictly shrinks the formula, so
-the graph is a DAG and backward induction solves it in one pass, which
-walks the nodes from the highest index down and keeps only each node's
-winner (see `solve`); a winning strategy is derived from the winners when
-it is first read.
+the graph is a DAG.  `solve` is local: depth first from the start, each
+node reads its moves last first and stops at the first its owner wins, so
+it settles a small part of a big game and refuses only the cycles and
+malformed nodes among the moves it reads.  Every node's winner, by
+backward induction over every edge, and a winning strategy derived from
+them are computed when first read.
 
 Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
@@ -91,13 +93,21 @@ class Game:
 
 @dataclass
 class Solution:
-    """A solved game: the winner from its start and the winner of each
-    node.  `solve` keeps only these; the strategy is derived on its first
-    read."""
+    """A solved game: the winner from its start, and how many nodes the
+    local solve settled to find it.  The winner of every node and the
+    strategy are derived on their first read."""
 
     winner: str  # EXISTS or FORALL
-    winners: list  # per node
     game: Game
+    explored: int  # nodes `solve` settled
+
+    @cached_property
+    def winners(self) -> list:
+        """Each node's winner, by backward induction over the whole game:
+        it reads every edge, so it refuses every cycle and malformed node,
+        also those the local solve did not reach."""
+        game = self.game
+        return _settle(game, range(game.node_count - 1, -1, -1), False)
 
     @cached_property
     def strategy(self) -> dict:
@@ -463,58 +473,72 @@ def build_game(lts: Lts, start_state: int, phi: Formula,
 
 
 def solve(game: Game) -> Solution:
-    """Backward induction in one pass, from the highest node down; it
-    keeps each node's winner and nothing else (see `Solution.strategy`).
+    """The winner from the start, settling only the nodes it needs: the
+    local model checking of Stevens & Stirling ("Practical model-checking
+    using games", TACAS 1998).  Each node reads its moves last first and
+    stops at the first one its owner wins; the order comes from the game
+    alone.  On the counter corpus at p = 2 it settles under 1 % of the
+    nodes of the biggest games, against about a fifth in builder order.
 
-    A builder's moves mostly lead to higher nodes, which the pass has
-    settled already.  A node with a successor it has not (a hash-consed
-    configuration made earlier) is opened: it waits on an explicit stack
-    under its unsettled successors, which are settled first the same way.
-    Reaching an open node again is a cycle.  Every edge is read to see
-    that it is settled, and a node's owner wins if it wins a successor:
-    linear in nodes plus edges.
-    """
+    Only the cycles and malformed nodes among the moves read are refused;
+    the builder's games have none, as every move shrinks the formula.
+    `Solution.winners` runs the full pass, which reads every edge."""
+    winners = _settle(game, (game.start,), True)
+    return Solution(winners[game.start], game,
+                    len(winners) - winners.count(None))
+
+
+def _settle(game: Game, roots, local: bool) -> list:
+    """Each node's winner, None for the nodes never reached: depth first
+    from each root in turn, on an explicit stack of open nodes.  A node
+    reads its moves last first, settling a terminal at once and opening
+    any other node it has not settled; reaching an open node again is a
+    cycle.  An open node settles once its moves are read, or, if `local`,
+    once its owner wins one; it wins if its owner wins a move.  Read in
+    full this is backward induction, linear in nodes plus edges."""
     kinds, edges = game.kinds, game.edges
     winners: list = [None] * len(kinds)  # False while open
-    stack: list = []
-    for u in range(len(kinds) - 1, -1, -1):
-        while True:
-            if not winners[u]:
-                succs = edges[u]
-                k = kinds[u]
-                if k == WIN_E or k == WIN_A:
-                    if succs:
-                        raise InternalError("terminal node with outgoing edges")
-                    winners[u] = EXISTS if k == WIN_E else FORALL
-                elif not succs:
-                    raise InternalError("non-terminal node without moves")
-                else:
-                    owner = EXISTS if k == EXISTS else FORALL
-                    wins = False
-                    for v in succs:
-                        won = winners[v]
-                        if not won:
-                            break
-                        if won is owner:
-                            wins = True
-                    if not won:  # open u under its unsettled successors
-                        winners[u] = False
-                        stack.append(u)
-                        for v in succs:
-                            if winners[v] is None:
-                                stack.append(v)
-                            elif winners[v] is False:
-                                raise InternalError(
-                                    "game graph has a cycle; plays must be "
-                                    "finite")
-                    elif wins:
-                        winners[u] = owner
-                    else:  # u's owner loses
-                        winners[u] = FORALL if owner == EXISTS else EXISTS
-            if not stack:
-                break
-            u = stack.pop()
-    return Solution(winners[game.start], winners, game)
+    # Each open node, deepest last, as [node, owner, its unread moves,
+    # whether its owner wins one read so far]; the bottom entry reads the
+    # roots and belongs to no one.
+    stack: list = [[None, None, iter(roots), False]]
+    while True:
+        frame = stack[-1]
+        u, owner, unread, wins = frame
+        if not (wins and local):
+            for v in unread:
+                won = winners[v]
+                if won is None:
+                    k, succs = kinds[v], edges[v]
+                    if k == WIN_E or k == WIN_A:
+                        if succs:
+                            raise InternalError(
+                                "terminal node with outgoing edges")
+                        won = winners[v] = EXISTS if k == WIN_E else FORALL
+                    elif not succs:
+                        raise InternalError("non-terminal node without moves")
+                    else:  # open v
+                        winners[v] = False
+                        frame[3] = wins
+                        stack.append([v, EXISTS if k == EXISTS else FORALL,
+                                      reversed(succs), False])
+                        break
+                elif won is False:
+                    raise InternalError(
+                        "game graph has a cycle; plays must be finite")
+                if won is owner:
+                    wins = True
+                    if local:
+                        break
+            if stack[-1] is not frame:  # read v's moves first
+                continue
+        if u is None:  # every root is settled
+            return winners
+        won = owner if wins else FORALL if owner is EXISTS else EXISTS
+        winners[u] = won
+        stack.pop()
+        if stack[-1][1] is won:  # u was its parent's last move read
+            stack[-1][3] = True
 
 
 def check_via_games(lts: Lts, state: int, phi: Formula,

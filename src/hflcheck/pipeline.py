@@ -11,7 +11,9 @@ def play(lts: Lts, state: int, phi: Formula, game_limit: int,
     """Typecheck `phi` as written, check the query, eliminate fixpoints
     (which rewrites vector fixpoints by Bekic's lemma), build the game
     from `state` and solve it, each once.  Returns the fixpoint-free
-    formula, the game and its solution."""
+    formula, the game and its solution.  The solve is local, reading
+    moves last first; the solution derives every node's winner and the
+    strategy on their first read, as an export or a witness needs."""
     semantics.check_query(lts, state, types.typecheck(phi))
     fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
                                             size_budget)

@@ -182,6 +182,18 @@ def test_check_json_deterministic(files, capsys):
     assert "wall_seconds" not in doc["stats"]
 
 
+def test_check_json_reports_game_nodes_explored(files, capsys):
+    _, chain, reach, _, _ = files
+    query = ["check", "--lts", str(chain), "--formula", str(reach),
+             "--state", "1", "--json", "--no-timing"]
+    assert main(query + ["--engine", "elim-game"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert 1 <= stats["game_nodes_explored"] <= stats["game_nodes"]
+    assert main(query + ["--engine", "demand"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"][
+        "game_nodes_explored"] is None
+
+
 def test_reports_do_not_depend_on_process_history(tmp_path, capsys):
     # The inner \X is renamed to avoid capture; the new name comes from
     # the formula, so the same command prints the same report every time

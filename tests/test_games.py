@@ -49,10 +49,13 @@ from hflcheck.syntax import (
     Var,
     _closure_reps,
     apply_all,
+    children,
     dag_size,
     desugar_vec,
     ff,
+    fold,
     free_vars,
+    rebuild,
     tt,
 )
 from hflcheck.types import PR, Arrow, Variance, typecheck
@@ -274,6 +277,33 @@ def test_solve_matches_reference_solve_on_small_corpus_games(name, i, j):
         _assert_solves_like_reference(build_game(lts, state, fp_free))
 
 
+def test_local_solve_matches_reference_solve_on_random_games():
+    # The winner comes from the local solve alone: no full pass has run.
+    for game in _random_games(7, 200):
+        sol = solve(game)
+        assert "winners" not in vars(sol)
+        assert sol.winner == oracles.reference_solve(game).winner
+        assert 1 <= sol.explored <= game.node_count
+
+
+@pytest.mark.parametrize("args,explored,nodes", [
+    (("gt", 1, 3), 113, 1_153),
+    (("eq", 0, 3), 68, 367),
+    (("exists",), 939, 108_251),
+    (("forall",), 2_522, 508_123),
+], ids=["gt(1,3)", "eq(0,3)", "exists(eq max)", "forall(eq max)"])
+def test_local_solve_explored_counts_are_pinned(args, explored, nodes):
+    # Reading moves last first settles these many nodes from each start;
+    # in builder order a local solve settles 655 of gt(1,3)'s, 229 of
+    # eq(0,3)'s, 17,498 of exists(eq max)'s and 122,416 (state 0) of
+    # forall(eq max)'s.
+    lts, fp_free = _counter_corpus_game(*args)
+    for state in range(lts.n):
+        game = build_game(lts, state, fp_free)
+        assert (solve(game).explored, game.node_count) == (explored, nodes)
+        del game
+
+
 def test_solve_allocates_only_its_winners():
     # `solve` keeps one winner per node (an 8-byte list slot) and derives
     # no strategy; a node -> move table would cost some 50 bytes a node.
@@ -313,6 +343,17 @@ def test_solve_refuses_malformed_games(kinds, edges, message):
         with pytest.raises(InternalError) as err:
             decide(game)
         assert str(err.value) == message
+
+
+def test_local_solve_reads_no_cycle_behind_a_winning_move():
+    # Node 0's last move wins at once, so the local solve never reads the
+    # cycle behind its first; the full pass reads every edge.
+    game = _hand_game([EXISTS, FORALL, WIN_E], [[1, 2], [0], []])
+    sol = solve(game)
+    assert (sol.winner, sol.explored) == (EXISTS, 2)
+    with pytest.raises(InternalError) as err:
+        sol.winners
+    assert str(err.value) == "game graph has a cycle; plays must be finite"
 
 
 def test_game_agrees_with_eval_random():
@@ -372,6 +413,72 @@ def test_verdicts_do_not_depend_on_shared_closed_subformulas():
         assert (solve(game).winner == EXISTS) == got
         games += 1
     assert gained > 150 and games > 250
+
+
+def _binders_reusing_x_and_y(phi, rng):
+    """An alpha-variant of phi whose binders are named X or Y wherever
+    that captures no variable, so that inner binders shadow outer ones."""
+    def go(f, env):
+        if isinstance(f, Var):
+            return Var(env.get(f.name, f.name))
+        if isinstance(f, (Lam, Mu)):
+            taken = {env.get(x, x) for x in f.body.fv - {f.var}}
+            names = [x for x in ("X", "Y") if x not in taken]
+            name = rng.choice(names) if names else f.var
+            body = go(f.body, {**env, f.var: name})
+            if isinstance(f, Lam):
+                return Lam(name, f.variance, f.ty, body)
+            return Mu(name, f.ty, body)
+        return rebuild(f, [go(kid, env) for kid in children(f)])
+
+    return go(phi, {})
+
+
+def _over_p(phi):
+    """(\\(P:Pr)^0. phi') p, where phi' is phi with P for p: the same
+    formula, with a binder above it, so that its fixpoints that read p
+    have a free variable, which elimination must not let a lambda of the
+    same name capture."""
+    body = fold(phi, lambda f, kids: Var("P") if f == Prop("p")
+                else rebuild(f, kids))
+    return App(Lam("P", Z, PR, body), Prop("p"))
+
+
+def _shadows(f, bound=frozenset()) -> bool:
+    """Whether some binder of f lies under a binder of the same name."""
+    if isinstance(f, (Lam, Mu)):
+        if f.var in bound:
+            return True
+        bound |= {f.var}
+    return any(_shadows(kid, bound) for kid in children(f))
+
+
+def test_verdicts_do_not_depend_on_colliding_binder_names():
+    # The generator names every binder apart; the variant of the formula
+    # over p reuses X and Y, which elimination, the closure and the
+    # builder must keep apart.
+    rng = random.Random(12)
+    shadowing = games = 0
+    for depth in [4] * 250 + [5] * 250:
+        lts = randgen.random_lts(rng, 2)
+        phi = randgen.random_hfl_formula(
+            rng, randgen.HoGenConfig(max_depth=depth, tabulate_safe=True))
+        twin = _binders_reusing_x_and_y(_over_p(phi), rng)
+        assert oracles.alpha_eq(twin, _over_p(phi))
+        shadowing += _shadows(twin)
+        want = evaluate(lts, phi)
+        state = rng.randrange(lts.n)
+        for f in (phi, twin):
+            for engine in ("demand", "tabulate"):
+                assert evaluate(lts, f, cfg=EvalConfig(engine=engine)) == want
+            try:
+                got = check_via_games(lts, state, f, game_limit=10**5,
+                                      unfold_budget=64)
+            except BudgetError:
+                continue
+            assert got == bool(want.mask >> state & 1)
+            games += 1
+    assert shadowing > 200 and games > 900
 
 
 class _WeakProp(Prop):
