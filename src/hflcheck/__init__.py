@@ -31,10 +31,9 @@ from .semantics import (
 )
 from .surface import parse_formula, parse_type, print_formula, print_type
 from .syntax import Formula, desugar_vec, fl_closure, measures, substitute
-from .types import Context, HflType, Variance, fragment, infer, typecheck
+from .types import HflType, Variance, fragment, typecheck
 
 __all__ = [
-    "Context",
     "Denotation",
     "EvalConfig",
     "Evaluator",
@@ -65,7 +64,6 @@ __all__ = [
     "gen_word_lts",
     "holds",
     "index_of",
-    "infer",
     "leq",
     "lts",
     "measures",

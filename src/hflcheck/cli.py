@@ -103,7 +103,7 @@ def cmd_check(args) -> int:
 def cmd_typecheck(args) -> int:
     phi = surface.parse_formula(_read(args.formula))
     table: dict = {}
-    ty = types.infer(types.EMPTY_CONTEXT, phi, table)
+    ty = types.typecheck(phi, table)
     size, lam_vars = syntax.measures(phi)
     k, m = types.fragment(table)
     bounds = {}

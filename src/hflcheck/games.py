@@ -52,7 +52,7 @@ from . import denote, semantics, surface, syntax
 from .errors import BoundBudgetError, GameLimitError, InternalError
 from .lts import Lts
 from .syntax import App, Dia, Formula, Lam, Mu, MuVec, Neg, Or, Prop, Var
-from .types import EMPTY_CONTEXT, PrType, fragment, infer, tower, uncurry
+from .types import PrType, arrows, fragment, tower, typecheck, uncurry
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -156,7 +156,7 @@ class _Builder:
                     "game construction needs a fixpoint-free formula"
                 )
         self.types: dict = {}
-        top = infer(EMPTY_CONTEXT, phi, types_out=self.types)
+        top = typecheck(phi, types_out=self.types)
         if not isinstance(top, PrType):
             raise ValueError("game construction needs a formula of ground type")
         self.numbers: dict = {}  # (id(f), negated) -> its formula number t
@@ -188,11 +188,7 @@ class _Builder:
     def widths(self, ty) -> tuple:
         """The entry widths of ty's successive results, with which
         `denote.entry_index` reads a value applied to arguments."""
-        out = []
-        for _ in uncurry(ty):
-            ty = ty.result
-            out.append(denote.bits(ty, self.lts.n))
-        return tuple(out)
+        return tuple([denote.bits(a.result, self.lts.n) for a in arrows(ty)])
 
     def compile(self, t: int) -> tuple:
         """How configurations of formula t move: a tag and its data, in

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import denote, syntax
+from . import denote, syntax, types
 from .denote import Denotation, Func, Ground, enumerate_lattice
 from .errors import (
     BoundBudgetError,
@@ -57,16 +57,7 @@ from .syntax import (
     ff,
     substitute,
 )
-from .types import (
-    EMPTY_CONTEXT,
-    Arrow,
-    HflType,
-    PrType,
-    Variance,
-    format_type,
-    infer,
-    uncurry,
-)
+from .types import Arrow, HflType, PrType, Variance, arrows, format_type
 
 
 # The largest lambda domain over which a closure memoizes its results.
@@ -87,7 +78,7 @@ class EvalStats:
 class EvalConfig:
     engine: str = "demand"  # or "tabulate"
     enum_limit: int = denote.DEFAULT_ENUM_LIMIT
-    stats: EvalStats = field(default_factory=EvalStats)
+    stats: EvalStats = field(init=False, default_factory=EvalStats)
 
     def __post_init__(self):
         if self.engine not in ("demand", "tabulate"):
@@ -142,8 +133,8 @@ class FixSolver:
     def __init__(self, ev, bindings, env):
         self.ev = ev
         self.bindings = bindings
-        self.arities = [len(uncurry(ty)) for _, ty, _ in bindings]
-        self.plus = [{i for i, arrow in enumerate(_arrows(ty))
+        self.arities = [len(arrows(ty)) for _, ty, _ in bindings]
+        self.plus = [{i for i, arrow in enumerate(arrows(ty))
                       if arrow.variance is Variance.PLUS} for _, ty, _ in bindings]
         self.env = dict(env)
         for i, (name, _, _) in enumerate(bindings):
@@ -204,8 +195,6 @@ class FixSolver:
                 val = self.bindings[comp][2](self.env)
                 for a in args:
                     val = self.ev.apply_value(val, a)
-                if not isinstance(val, Ground):
-                    val = self.ev.reify_value(val)
             finally:
                 self.current = None
             old = self.memo[key]
@@ -325,7 +314,7 @@ class Evaluator:
             dom_ty = v.node.ty
             variance = v.node.variance
         elif isinstance(v, FixRef):
-            arrow = _arrows(v.solver.bindings[v.comp][1])[len(v.args)]
+            arrow = arrows(v.solver.bindings[v.comp][1])[len(v.args)]
             dom_ty = arrow.arg
             variance = arrow.variance
         else:
@@ -516,7 +505,7 @@ class Evaluator:
     # -- public entry points
 
     def eval_closed(self, phi: Formula):
-        infer(EMPTY_CONTEXT, phi)
+        types.typecheck(phi)
         return self._compile(phi)({})
 
     def denotation(self, phi: Formula) -> Denotation:
@@ -563,15 +552,6 @@ def _fix_bindings(phi):
     return list(phi.bindings), phi.index - 1
 
 
-def _arrows(ty) -> list:
-    """The arrows of `ty` viewed as t1 -> ... -> tm -> Pr."""
-    out = []
-    while isinstance(ty, Arrow):
-        out.append(ty)
-        ty = ty.result
-    return out
-
-
 def _below(args, bound, plus) -> bool:
     """`args` lies below `bound` at `plus` and equals it elsewhere."""
     return all(
@@ -585,7 +565,7 @@ def evaluate(lts: Lts, phi: Formula, cfg: EvalConfig | None = None,
     """Denotation of the closed formula `phi` over `lts`."""
     ev = Evaluator(lts, cfg)
     if typecheck:
-        infer(EMPTY_CONTEXT, phi)
+        types.typecheck(phi)
     return ev.reify_value(ev.eval(phi, {}))
 
 
@@ -599,7 +579,7 @@ def check_query(lts: Lts, state: int, ty: HflType) -> None:
 
 def holds(lts: Lts, state: int, phi: Formula,
           cfg: EvalConfig | None = None) -> bool:
-    check_query(lts, state, infer(EMPTY_CONTEXT, phi))
+    check_query(lts, state, types.typecheck(phi))
     return bool(evaluate(lts, phi, cfg=cfg, typecheck=False).mask >> state & 1)
 
 
@@ -617,9 +597,9 @@ def approximant(mu: Mu, alpha: int) -> Formula:
     if alpha < 0:
         raise ValueError("approximant index must be nonnegative")
     acc: Formula = ff()
-    arrows = _arrows(mu.ty)
-    for i in range(len(arrows), 0, -1):
-        acc = Lam(f"Z{i}", arrows[i - 1].variance, arrows[i - 1].arg, acc)
+    spine = arrows(mu.ty)
+    for i in range(len(spine), 0, -1):
+        acc = Lam(f"Z{i}", spine[i - 1].variance, spine[i - 1].arg, acc)
     for _ in range(alpha):
         acc = substitute(mu.body, mu.var, acc)
     return acc
@@ -672,7 +652,7 @@ def eliminate_fixpoints(phi: Formula, lts: Lts,
     before = syntax.lambda_binder_names(phi)
     after = syntax.lambda_binder_names(out)
     max_arity = max(
-        [0] + [len(uncurry(f.ty)) for f in syntax.iter_nodes(phi) if isinstance(f, Mu)]
+        [0] + [len(arrows(f.ty)) for f in syntax.iter_nodes(phi) if isinstance(f, Mu)]
     )
     if len(after) > len(before) + max_arity + len(renamed):
         raise InternalError(

@@ -1,7 +1,8 @@
 """Types with variances, the typing judgment, and the quantitative bounds.
 
-All binders in the formula grammar are annotated, so `infer` is a checker
-that synthesizes types along application spines; there is no unification.
+All binders in the formula grammar are annotated, so `typecheck` is a
+checker that synthesizes types along application spines; there is no
+unification.
 The paper's bounds are exact big-integer computations guarded by a digit
 budget; the lattices' own sizes, heights and widths are `denote`'s.
 """
@@ -50,13 +51,18 @@ class Arrow(HflType):
 PR = PrType()
 
 
-def uncurry(ty: HflType):
-    """Argument types of `ty` viewed as t1 -> ... -> tm -> Pr."""
-    args = []
+def arrows(ty: HflType) -> list:
+    """The arrows of `ty` viewed as t1 -> ... -> tm -> Pr."""
+    out = []
     while isinstance(ty, Arrow):
-        args.append(ty.arg)
+        out.append(ty)
         ty = ty.result
-    return args
+    return out
+
+
+def uncurry(ty: HflType) -> list:
+    """Argument types of `ty` viewed as t1 -> ... -> tm -> Pr."""
+    return [a.arg for a in arrows(ty)]
 
 
 def ord_(ty: HflType) -> int:
@@ -90,26 +96,11 @@ def format_type(ty: HflType) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Contexts and the typing judgment
+# The typing judgment
 
 
-class Context:
-    """Immutable map from variable name to (variance, type)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries=None):
-        self._entries = dict(entries or {})
-
-    def items(self):
-        return self._entries.items()
-
-
-EMPTY_CONTEXT = Context()
-
-
-def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
-    """Type of `phi` under `ctx` per the nine inference rules.
+def typecheck(phi: Formula, types_out: dict | None = None) -> HflType:
+    """Type of the closed formula `phi` per the nine inference rules.
 
     When `types_out` is given, it is filled with id(node) -> type for every
     subformula (used by game construction).  A node object shared under two
@@ -146,7 +137,7 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
         there = plus + (v is Variance.PLUS)
         return (there, here) if neg else (here, there)
 
-    scope = {x: binding(v, t, False) for x, (v, t) in ctx.items()}
+    scope: dict = {}  # name -> the ints of its innermost binding
     unbound = (None, None)  # a name's entry outside its binders
     memo: dict = {}
 
@@ -252,13 +243,9 @@ def infer(ctx: Context, phi: Formula, types_out: dict | None = None) -> HflType:
     return go(phi, False)
 
 
-def typecheck(phi: Formula) -> HflType:
-    return infer(EMPTY_CONTEXT, phi)
-
-
 def fragment(types: dict):
     """(order, maximal arity) over every type in a derivation, given the
-    table that `infer` filled with `types_out`.
+    table that `typecheck` filled with `types_out`.
 
     The table covers every binder annotation: a `Lam`'s entry is an arrow
     from its annotation, a `Mu`'s entry is its annotation, and each `MuVec`

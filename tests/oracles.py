@@ -35,19 +35,17 @@ from hflcheck.syntax import (
 )
 from hflcheck.types import (
     BIT_BUDGET,
-    EMPTY_CONTEXT,
     PR,
     Arrow,
-    Context,
     PrType,
     Variance,
     big_f,
     chain_type,
     format_type,
     fragment,
-    infer,
     mar,
     ord_,
+    typecheck,
 )
 
 
@@ -215,14 +213,16 @@ def bisim_word_oracle(lts, start: int) -> bool:
     return True
 
 
-def reference_infer(ctx: Context, phi, types_out: dict | None = None):
-    """The typing judgment as `types.infer` states it, with whole contexts.
+def reference_typecheck(phi, types_out: dict | None = None):
+    """The typing judgment as `types.typecheck` states it, with whole
+    contexts.
 
-    A context is a dict from name to (variance, type).  `Neg` and the
-    complement pass of a `-` or `0` application type their operand under a
-    complemented copy of it, and the memo key holds its (name, variance,
-    type) entries for the node's free variables.  Same errors, in the same
-    order, and the same `types_out` table as `types.infer`.
+    A context is a dict from name to (variance, type), empty at the root.
+    `Neg` and the complement pass of a `-` or `0` application type their
+    operand under a complemented copy of it, and the memo key holds its
+    (name, variance, type) entries for the node's free variables.  Same
+    errors, in the same order, and the same `types_out` table as
+    `types.typecheck`.
     """
     memo: dict = {}
 
@@ -313,7 +313,7 @@ def reference_infer(ctx: Context, phi, types_out: dict | None = None):
                 )
         return ty
 
-    return go(dict(ctx.items()), phi)
+    return go({}, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ class ReferenceInterner:
 def fragment_of(phi):
     """`types.fragment` of the closed formula phi's typing table."""
     table: dict = {}
-    infer(EMPTY_CONTEXT, phi, types_out=table)
+    typecheck(phi, types_out=table)
     return fragment(table)
 
 

@@ -76,14 +76,13 @@ def test_check_typechecks_once(files, monkeypatch):
 
     _, chain, reach, _, _ = files
     calls = []
-    real = types.infer
+    real = types.typecheck
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(types, "infer", counting)
-    monkeypatch.setattr(semantics, "infer", counting)
+    monkeypatch.setattr(types, "typecheck", counting)
     for engine in ("naive", "demand"):
         calls.clear()
         assert main(["check", "--lts", str(chain), "--formula", str(reach),
@@ -117,18 +116,18 @@ def test_each_command_types_each_formula_once(files, monkeypatch, capsys):
     # An elim-game check types the formula and the fixpoint-free one; the
     # report's size bound reads the game builder's typing table, as the
     # typecheck command's order and arity read the one typing it makes.
-    from hflcheck import games, semantics, types
+    from hflcheck import games, types
 
     _, chain, reach, _, _ = files
     typed = []
-    real = types.infer
+    real = types.typecheck
 
     def counting(*args, **kwargs):
-        typed.append(args[1])
+        typed.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (types, semantics, games):
-        monkeypatch.setattr(module, "infer", counting)
+    for module in (types, games):
+        monkeypatch.setattr(module, "typecheck", counting)
     query = ["--lts", str(chain), "--formula", str(reach), "--state", "0"]
     for command, count in (
             (["check", "--engine", "elim-game", "--json"] + query, 2),
@@ -252,7 +251,7 @@ def test_check_token_soup_exits_cleanly_and_alike(files, capsys):
 
 def test_check_too_deep_is_exit_2_without_traceback(files, tmp_path):
     # 30,000 nested modalities parse, then pass the recursion limit while
-    # typing (`types.infer`); that is an error (2), never a failing
+    # typing (`types.typecheck`); that is an error (2), never a failing
     # property (1).
     _, chain, _, _, _ = files
     deep = tmp_path / "deep.hfl"

@@ -30,7 +30,7 @@ from hflcheck.lts import (
     gen_word_lts,
     make_lts,
 )
-from hflcheck.semantics import Evaluator, evaluate, holds
+from hflcheck.semantics import EvalConfig, Evaluator, evaluate, holds
 from hflcheck.syntax import App, Neg, apply_all, desugar_vec, ff, tt
 from hflcheck.types import big_f, typecheck
 
@@ -281,6 +281,24 @@ def test_simulator_edges():
     assert atm_accepts(machines.UNIV_SPLIT, (True,), 4) is False
     with pytest.raises(ValueError):
         atm_accepts(machines.PURE_ACCEPT, (True,) * 5, 4)
+
+
+def test_simulator_reuses_a_configuration_met_twice():
+    # Both universal branches write ff and move to q3, so the second one
+    # meets a configuration the first has decided, and reads its verdict.
+    meeting = parse_atm(
+        "states q0 q1 q2 q3 qa qr ; exists ; forall q0 q1 q2 q3 ; "
+        "accept qa ; reject qr ; start q0\n"
+        "delta q0 ff -> q1 tt N\n"
+        "delta q0 ff -> q2 tt N\n"
+        "delta q1 tt -> q3 ff N\n"
+        "delta q2 tt -> q3 ff N\n"
+        "delta q3 ff -> qa ff N\n")
+    for p in (1, 2):
+        assert atm_accepts(meeting, (), 2**p) is True
+        phi = machine_formula(meeting, 0, p, ())
+        demand = evaluate(gen_counter_lts(p), phi, EvalConfig(engine="demand"))
+        assert demand == full(p)
 
 
 def test_simulator_space_bound_violation():

@@ -427,6 +427,21 @@ def test_negated_lambda_argument(text, mask):
         bool(mask >> s & 1) for s in (0, 1)]
 
 
+def test_complement_of_a_suspended_negation():
+    # The demand engine suspends both negations: applying the outer one to
+    # p complements the inner one's suspended value, which cancels it, so
+    # the formula is p & q.
+    phi = parse_formula(
+        "(!(\\(X:Pr)^0. !((\\(A:Pr)^0. \\(B:Pr)^0. A & B) X))) p q")
+    for n in (1, 2):
+        for props in ((), ("p",), ("q",), ("p", "q")):
+            lts = make_lts(n, (), [(0, x) for x in props])
+            want = len(props) == 2
+            for engine in ("demand", "tabulate"):
+                assert holds(lts, 0, phi, EvalConfig(engine=engine)) == want
+            assert check_via_games(lts, 0, phi) == want
+
+
 def test_engines_solve_vector_fixpoints_jointly_and_alike():
     # Random monotone 3-component ground systems, against the brute-force
     # checker on their Bekic form; the tabulating engine iterates all

@@ -26,17 +26,14 @@ from hflcheck.syntax import (
     substitute,
 )
 from hflcheck.types import (
-    EMPTY_CONTEXT,
     PR,
     Arrow,
-    Context,
     PrType,
     Variance,
     big_f,
     chain_type,
     format_type,
     height_bound,
-    infer,
     lattice_size_bound,
     mar,
     ord_,
@@ -47,7 +44,7 @@ from hflcheck.types import (
 
 import machines
 import randgen
-from oracles import fragment_of, reference_infer
+from oracles import fragment_of, reference_typecheck
 
 Z = Variance.ZERO
 P = Variance.PLUS
@@ -79,14 +76,14 @@ def test_infer_minus_variance_allows_negated_use():
 def test_infer_application_variances():
     f_plus = Lam("X", P, PR, Var("X"))
     assert typecheck(App(f_plus, Prop("q"))) == PR
-    # a minus-variance argument is checked under the complement context
-    ctx = Context({"Y": (Variance.MINUS, PR)})
+    # a minus-variance argument is checked at the other polarity
     f_minus = Lam("X", Variance.MINUS, PR, Neg(Var("X")))
-    assert infer(ctx, App(f_minus, Var("Y"))) == PR
+    y_minus = Lam("Y", Variance.MINUS, PR, App(f_minus, Var("Y")))
+    assert typecheck(y_minus) == Arrow(PR, Variance.MINUS, PR)
     # variance-0 application requires the argument to check both ways
     f_zero = Lam("X", Z, PR, Var("X"))
     with pytest.raises(TypeError_):
-        infer(Context({"Y": (P, PR)}), App(f_zero, Var("Y")))
+        typecheck(Lam("Y", P, PR, App(f_zero, Var("Y"))))
 
 
 def test_infer_fixpoint_body_type_must_match():
@@ -107,12 +104,12 @@ def test_typing_table_refuses_a_node_shared_under_two_typings():
               Lam("X", Z, PR, x))
     assert typecheck(phi) == PR
     with pytest.raises(TypeError_):
-        infer(Context(), phi, types_out={})
+        typecheck(phi, types_out={})
     # the same type twice is no conflict
     y = Var("Y")
     table: dict = {}
     both = App(Lam("Y", Z, PR, y), App(Lam("Y", Z, PR, y), Prop("p")))
-    assert infer(Context(), both, types_out=table) == PR
+    assert typecheck(both, types_out=table) == PR
     assert table[id(y)] == PR
 
 
@@ -220,7 +217,7 @@ def test_typed_corpus_evaluates_to_ground():
 
 
 # ---------------------------------------------------------------------------
-# Differential fuzz: `infer` against `oracles.reference_infer`
+# Differential fuzz: `typecheck` against `oracles.reference_typecheck`
 
 FUN = Arrow(PR, Z, PR)
 GROUND_FUN = Lam("W", Z, PR, Prop("p"))
@@ -236,23 +233,23 @@ class _Junk(Formula):
         object.__setattr__(self, "fv", frozenset())
 
 
-def _outcome(infer_fn, ctx, phi, table):
+def _outcome(judge, phi, table):
     """The type, or the error's class, message and offending node."""
     try:
-        return infer_fn(ctx, phi, types_out=table)
+        return judge(phi, types_out=table)
     except TypeError_ as e:
         return type(e), str(e), id(e.formula)
     except TypeError as e:  # a non-formula root, refused by free_vars
         return type(e), str(e)
 
 
-def _judge_alike(ctx, phi) -> list:
+def _judge_alike(phi) -> list:
     """Both judgments on phi, without and with a typing table; they must
     give the same outcome and the same table.  Returns the outcomes."""
     outcomes = []
     for table, ref_table in ((None, None), ({}, {})):
-        got = _outcome(infer, ctx, phi, table)
-        want = _outcome(reference_infer, ctx, phi, ref_table)
+        got = _outcome(typecheck, phi, table)
+        want = _outcome(reference_typecheck, phi, ref_table)
         assert got == want
         assert table == ref_table
         outcomes.append(got)
@@ -297,7 +294,7 @@ def _random_formulas(seed: int, count: int):
 def _with_annotations(phi):
     """(order, arity) over the typing table and every binder annotation."""
     table: dict = {}
-    seen = [reference_infer(EMPTY_CONTEXT, phi, types_out=table)]
+    seen = [reference_typecheck(phi, types_out=table)]
     seen += table.values()
     for f in iter_nodes(phi):
         if isinstance(f, (Lam, Mu)):
@@ -312,7 +309,7 @@ def _shared_variants(rng, phi):
     once, a vector fixpoint in place of a `Mu`, and a ground node used
     under both polarities."""
     table: dict = {}
-    infer(EMPTY_CONTEXT, phi, types_out=table)
+    typecheck(phi, types_out=table)
     nodes = list(iter_nodes(phi))
     out = []
     for f in nodes:
@@ -333,9 +330,10 @@ def _replace(phi, target, new):
 
 
 def _mutants(rng, phi):
-    """Rewrites of the well-typed phi aimed at each raise site of `infer`."""
+    """Rewrites of the well-typed phi aimed at each raise site of
+    `typecheck`."""
     table: dict = {}
-    infer(EMPTY_CONTEXT, phi, types_out=table)
+    typecheck(phi, types_out=table)
     nodes = list(iter_nodes(phi))
 
     def pick(cls):
@@ -375,7 +373,7 @@ def test_infer_matches_reference_on_random_formulas():
     typed = 0
     for rng, phi in _random_formulas(1201, 300):
         for f in [phi] + _shared_variants(rng, phi):
-            outcomes = _judge_alike(EMPTY_CONTEXT, f)
+            outcomes = _judge_alike(f)
             assert outcomes == [PR, PR]
             assert fragment_of(f) == _with_annotations(f)
             flat = desugar_vec(f)
@@ -388,18 +386,18 @@ def test_infer_matches_reference_on_mutants():
     sites: set = set()
     for rng, phi in _random_formulas(1202, 300):
         for mutant in _mutants(rng, phi):
-            for outcome in _judge_alike(EMPTY_CONTEXT, mutant):
+            for outcome in _judge_alike(mutant):
                 sites.add(_raise_site(outcome))
-        # an open subformula under a drawn context, one name sometimes left out
+        # an open subformula under lambdas of drawn variances and types,
+        # one name sometimes left unbound
         open_nodes = [f for f in iter_nodes(phi) if f.fv]
         if open_nodes:
             f = rng.choice(open_nodes)
-            names = sorted(f.fv)[rng.random() < 0.2:]
-            ctx = Context({x: (rng.choice(list(Variance)), rng.choice((PR, FUN)))
-                           for x in names})
-            for outcome in _judge_alike(ctx, f):
+            for x in sorted(f.fv)[rng.random() < 0.2:]:
+                f = Lam(x, rng.choice(list(Variance)), rng.choice((PR, FUN)), f)
+            for outcome in _judge_alike(f):
                 sites.add(_raise_site(outcome))
-    for outcome in _judge_alike(EMPTY_CONTEXT, "p"):
+    for outcome in _judge_alike("p"):
         sites.add(_raise_site(outcome))
     assert sites - {None} == RAISE_SITES
 
@@ -412,4 +410,4 @@ def test_infer_matches_reference_on_encodings():
                for m in machines.CORPUS.values() for word in (None, (True,))]
     for phi in corpus:
         ty = typecheck(phi)
-        assert _judge_alike(EMPTY_CONTEXT, phi) == [ty, ty]
+        assert _judge_alike(phi) == [ty, ty]
