@@ -18,9 +18,9 @@ from .denote import (
     number_repr,
 )
 from .errors import HflError
-from .games import build_game, check_via_games, export_game, solve
+from .games import build_game, export_game, solve
 from .lts import Lts, gen_chain, gen_counter_lts, gen_counter_lts_labeled, gen_word_lts
-from .pipeline import play
+from .pipeline import check_via_games, play
 from .semantics import (
     EvalConfig,
     Evaluator,

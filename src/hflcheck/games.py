@@ -23,12 +23,13 @@ canonical index, which is also its encoding (see `denote`); shifts pick a
 value's entry at some arguments out of the index.  Only configurations are
 hash-consed (Filliâtre & Conchon, ML 2006), keyed by plain data: the
 state, the argument stack, the values of the formula's sorted free
-variables, and the formula's number, which the builder gives each formula
-(and each negation it makes) the first time it meets it.  The key is also
-the node's payload.  Guess and pick nodes are made once, by their parent.
-A challenge's outcomes depend on the guess only through its entry at the
-picked arguments, so each application node shares one outcome tuple among
-all guesses that agree there.
+variables, and the formula's number.  A negation only swaps the players'
+roles, so the builder reads leading negations as a polarity and numbers
+each (non-negation node, polarity) pair the first time it meets it.  The
+key is also the node's payload.  Guess and pick nodes are made once, by
+their parent.  A challenge's outcomes depend on the guess only through its
+entry at the picked arguments, so each application node shares one
+outcome tuple among all guesses that agree there.
 
 Payloads are tuples of ints, and successors tuples of ints or, for a fan
 of guess or pick nodes, a `range`.  The cyclic garbage collector never
@@ -48,7 +49,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import denote, semantics, surface, syntax
+from . import denote, surface, syntax
 from .errors import BoundBudgetError, GameLimitError, InternalError
 from .lts import Lts
 from .syntax import App, Dia, Formula, Lam, Mu, MuVec, Neg, Or, Prop, Var
@@ -159,7 +160,7 @@ class _Builder:
         top = typecheck(phi, types_out=self.types)
         if not isinstance(top, PrType):
             raise ValueError("game construction needs a formula of ground type")
-        self.numbers: dict = {}  # (id(f), negated) -> its formula number t
+        self.numbers: dict = {}  # (id(f), negated) -> t, f not a Neg
         self.formulas: list = []  # t -> the formula
         self.moves: list = []  # t -> how its configurations move, once known
         self.kinds: list = []
@@ -172,10 +173,14 @@ class _Builder:
         self.used = 0
 
     def target(self, f: Formula, scope: tuple, negate=False) -> tuple:
-        """The number t of f, negated if asked (one Neg per f), and where
-        each of its sorted free names sits in `scope`, the names whose
-        values the parent configuration carries; None where that is all
-        of `scope` in order, so that f's keys share the parent's values."""
+        """The number t of f, negated if asked, and where each of its
+        sorted free names sits in `scope`, the names whose values the
+        parent configuration carries; None where that is all of `scope` in
+        order, so that f's keys share the parent's values.  Leading
+        negations fold into the polarity: one number per (non-negation
+        node, polarity)."""
+        while type(f) is Neg:
+            f, negate = f.body, not negate
         key = (id(f), negate)
         t = self.numbers.get(key)
         if t is None:
@@ -202,8 +207,9 @@ class _Builder:
         """
         f = self.formulas[t]
         scope = tuple(sorted(f.fv))
-        # A negated configuration moves like its body, with the players'
-        # roles swapped and every successor negated.
+        # A negated configuration moves like its body (no Neg: see
+        # `target`), with the players' roles swapped and every successor
+        # negated.
         neg = isinstance(f, Neg)
         g = f.body if neg else f
         owner, win, lose = (FORALL, WIN_A, WIN_E) if neg else (EXISTS, WIN_E, WIN_A)
@@ -229,8 +235,6 @@ class _Builder:
                            self.target(g.arg, scope, True), sizes,
                            self.widths(sigma),
                            tuple([("pick", k) for k in range(len(sizes))]))
-        if isinstance(g, Neg):  # f is Neg(Neg x): one edge to x
-            return "neg", self.target(g.body, scope)
         raise InternalError(f"unhandled formula {f!r}")
 
     def charge(self):
@@ -323,8 +327,6 @@ class _Builder:
             self.kinds[idx] = EXISTS
             self.pending.append(self.guesses(idx, state, stack, values, data))
             return
-        elif tag == "neg":
-            kind, out = EXISTS, (config(state, stack, values, data),)
         elif tag == "var":
             widths, win, lose = data
             val = values[0]
@@ -535,19 +537,6 @@ def _settle(game: Game, roots, local: bool) -> list:
         stack.pop()
         if stack[-1][1] is won:  # u was its parent's last move read
             stack[-1][3] = True
-
-
-def check_via_games(lts: Lts, state: int, phi: Formula,
-                    game_limit: int = DEFAULT_GAME_LIMIT,
-                    enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
-                    unfold_budget: int = semantics.DEFAULT_UNFOLD_BUDGET,
-                    size_budget: int = semantics.DEFAULT_SIZE_BUDGET) -> bool:
-    """Whether `state` satisfies `phi`, by `pipeline.play` as `check` and
-    `game` do."""
-    from .pipeline import play  # here, as pipeline imports this module
-
-    return play(lts, state, phi, game_limit, enum_limit, unfold_budget,
-                size_budget)[2].winner == EXISTS
 
 
 # ---------------------------------------------------------------------------

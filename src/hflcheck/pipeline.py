@@ -1,7 +1,8 @@
-"""The elim-game pipeline behind `check`, `game` and `check_via_games`; it
-sits above the layers whose stages it runs, as the command line did."""
+"""The elim-game pipeline behind `check`, `game` and the library's
+`check_via_games`; it sits above the layers whose stages it runs, so that
+neither procedure imports the other."""
 
-from . import games, semantics, types
+from . import denote, games, semantics, types
 from .lts import Lts
 from .syntax import Formula
 
@@ -19,3 +20,14 @@ def play(lts: Lts, state: int, phi: Formula, game_limit: int,
                                             size_budget)
     game = games.build_game(lts, state, fp_free, game_limit, enum_limit)
     return fp_free, game, games.solve(game)
+
+
+def check_via_games(lts: Lts, state: int, phi: Formula,
+                    game_limit: int = games.DEFAULT_GAME_LIMIT,
+                    enum_limit: int = denote.DEFAULT_ENUM_LIMIT,
+                    unfold_budget: int = semantics.DEFAULT_UNFOLD_BUDGET,
+                    size_budget: int = semantics.DEFAULT_SIZE_BUDGET) -> bool:
+    """Whether `state` satisfies `phi`, by `play` as `check` and `game`
+    do."""
+    return play(lts, state, phi, game_limit, enum_limit, unfold_budget,
+                size_budget)[2].winner == games.EXISTS

@@ -22,13 +22,6 @@ class Variance(enum.Enum):
     MINUS = "-"
     ZERO = "0"
 
-    def complement(self) -> "Variance":
-        if self is Variance.PLUS:
-            return Variance.MINUS
-        if self is Variance.MINUS:
-            return Variance.PLUS
-        return Variance.ZERO
-
 
 @dataclass(frozen=True, slots=True)
 class HflType:

@@ -225,9 +225,11 @@ def reference_typecheck(phi, types_out: dict | None = None):
     `types.typecheck`.
     """
     memo: dict = {}
+    flip = {Variance.PLUS: Variance.MINUS, Variance.MINUS: Variance.PLUS,
+            Variance.ZERO: Variance.ZERO}
 
     def complement(ctx: dict) -> dict:
-        return {x: (v.complement(), t) for x, (v, t) in ctx.items()}
+        return {x: (flip[v], t) for x, (v, t) in ctx.items()}
 
     def ctx_key(ctx: dict, f):
         fvs = free_vars(f)

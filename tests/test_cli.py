@@ -371,6 +371,13 @@ def test_gen_showcase_and_repr(capsys):
     assert "= 5" in capsys.readouterr().out
 
 
+def test_gen_refuses_a_word_symbol_with_exit_2(capsys):
+    assert main(["gen", "lts-counter-labeled", "--p", "2", "--word",
+                 "tx"]) == 2
+    assert capsys.readouterr().err == (
+        "error[ValueError]: word symbols are t/f (or 1/0), got 'x'\n")
+
+
 def test_atm_run(files, capsys):
     _, _, _, _, machine = files
     assert main(["atm", "run", "--machine", str(machine), "--word", "t",
@@ -443,6 +450,37 @@ def test_game_limit_past_an_astronomical_bound_is_exit_2(tmp_path, capsys):
     assert err.startswith("error[GameLimitError]: game grew past 5 (at 6); "
                           "closed-form estimate over budget (bound "
                           "astronomically large: tower(9,3)")
+
+
+def test_check_report_shows_a_game_bound_over_budget(tmp_path, capsys):
+    # The order-3 formula's closed-form bound is refused, and the report
+    # says so in place of the bound; the game itself is small.
+    model = tmp_path / "one.lts"
+    model.write_text("states 1\nlabel 0 p\n")
+    phi = tmp_path / "order3.hfl"
+    phi.write_text("(\\(G:(Pr -> Pr) -> Pr). G (\\(X:Pr). X)) "
+                   "(\\(H:Pr -> Pr). H p)\n")
+    assert main(["check", "--lts", str(model), "--formula", str(phi),
+                 "--state", "0", "--engine", "elim-game", "--json",
+                 "--no-timing"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] is True
+    assert list(report["bounds"]) == ["game_size_bound"]
+    assert report["bounds"]["game_size_bound"].startswith(
+        "over budget (bound astronomically large: tower(9,3)")
+
+
+def test_typecheck_report_shows_a_lattice_bound_over_budget(tmp_path, capsys):
+    # tower(n, 1) = 2^n has 1.2 million decimal digits at n = 4,000,000,
+    # over the digit budget; the height bound n + 1 is still shown.
+    phi = tmp_path / "order3.hfl"
+    phi.write_text("(\\(G:(Pr -> Pr) -> Pr). G (\\(X:Pr). X)) "
+                   "(\\(H:Pr -> Pr). H p)\n")
+    assert main(["typecheck", "--formula", str(phi), "--json",
+                 "--states", "4000000"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert bounds["lattice_size"].startswith("over budget (")
+    assert bounds["height"] == "4000001"
 
 
 def test_enumeration_refusal_prints_a_lattice_past_str(tmp_path, capsys):

@@ -10,8 +10,9 @@ from hflcheck.encodings import (
     counter_formula,
     phi_m_formula,
 )
-from hflcheck.games import build_game, check_via_games, size_bound_for, solve
+from hflcheck.games import build_game, size_bound_for, solve
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
+from hflcheck.pipeline import check_via_games
 from hflcheck.semantics import Evaluator, eliminate_fixpoints, evaluate, holds
 from hflcheck.surface import parse_formula, print_formula
 from hflcheck.syntax import (

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -28,12 +29,12 @@ from hflcheck.games import (
     Game,
     _Builder,
     build_game,
-    check_via_games,
     export_game,
     game_size_bound,
     solve,
 )
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
+from hflcheck.pipeline import check_via_games
 from hflcheck.semantics import EvalConfig, eliminate_fixpoints, evaluate, holds
 from hflcheck.surface import parse_formula
 from hflcheck.syntax import (
@@ -287,15 +288,15 @@ def test_local_solve_matches_reference_solve_on_random_games():
 
 
 @pytest.mark.parametrize("args,explored,nodes", [
-    (("gt", 1, 3), 113, 1_153),
-    (("eq", 0, 3), 68, 367),
-    (("exists",), 939, 108_251),
-    (("forall",), 2_522, 508_123),
+    (("gt", 1, 3), 88, 858),
+    (("eq", 0, 3), 51, 253),
+    (("exists",), 867, 107_989),
+    (("forall",), 2_425, 505_813),
 ], ids=["gt(1,3)", "eq(0,3)", "exists(eq max)", "forall(eq max)"])
 def test_local_solve_explored_counts_are_pinned(args, explored, nodes):
     # Reading moves last first settles these many nodes from each start;
-    # in builder order a local solve settles 655 of gt(1,3)'s, 229 of
-    # eq(0,3)'s, 17,498 of exists(eq max)'s and 122,416 (state 0) of
+    # in builder order a local solve settles 511 of gt(1,3)'s, 167 of
+    # eq(0,3)'s, 17,295 of exists(eq max)'s and 121,591 (state 0) of
     # forall(eq max)'s.
     lts, fp_free = _counter_corpus_game(*args)
     for state in range(lts.n):
@@ -309,7 +310,7 @@ def test_solve_allocates_only_its_winners():
     # no strategy; a node -> move table would cost some 50 bytes a node.
     lts, fp_free = _counter_corpus_game("gt", 1, 3)
     game = build_game(lts, 0, fp_free)
-    assert game.node_count == 1_153
+    assert game.node_count == 858
     tracemalloc.start()
     try:
         solve(game)
@@ -615,11 +616,11 @@ def _structure_digest(game, solution):
 
 
 @pytest.mark.parametrize("name,i,j,nodes,edges,winner,digests", [
-    ("eq", 0, 3, 367, 500, FORALL, None),
-    ("gt", 1, 3, 1_153, 1_847, FORALL, None),
-    ("exists", None, None, 108_251, 224_204, EXISTS,
-     ("2dc61205b60e82b22780730aaa2685d3ed7bd80df68149370bdfd167edd31190",
-      "147b080516c12c3c54df9de0071bcab0341aa8b2d4011a0644edc037bd6853ab")),
+    ("eq", 0, 3, 253, 386, FORALL, None),
+    ("gt", 1, 3, 858, 1_568, FORALL, None),
+    ("exists", None, None, 107_989, 223_972, EXISTS,
+     ("1bd47487b196a959f61f624deb8803d8a83b10d285dd91452bb133f28a01eee8",
+      "1c48e4a0fc2ec6603f4b2ce369b718a091a0180014a96100b693e35c8e8872da")),
 ], ids=["eq(0,3)", "gt(1,3)", "exists(eq max)"])
 def test_counter_corpus_game_sizes_are_pinned(name, i, j, nodes, edges, winner,
                                               digests):
@@ -643,11 +644,11 @@ def test_forall_eq_max_game_size_is_pinned():
     # The corpus game in which guesses share challenge outcomes the most.
     lts, fp_free = _counter_corpus_game("forall")
     digests = (
-        "c48dde00fa4b670b2c535910762c28f2f426efacd377556fb7f29cf75e8d4331",
-        "ebcce9414bd37263857c7f4a58ea40ddeb6a376757bacebdc43c1978aac2bb3a")
+        "ca314fa01bf5753b447dc98f71273f99a3f865d74b4d89b06a5ca895f67de40b",
+        "c715c58f621507122de5dc4e419ce6da5556e692b5bd888942614117685a5ce8")
     for state, digest in enumerate(digests):
         game = build_game(lts, state, fp_free)
-        assert (game.node_count, game.edge_count) == (508_123, 1_209_548)
+        assert (game.node_count, game.edge_count) == (505_813, 1_207_268)
         sol = solve(game)
         assert sol.winner == FORALL
         assert _structure_digest(game, sol) == digest
@@ -655,10 +656,10 @@ def test_forall_eq_max_game_size_is_pinned():
 
 
 @pytest.mark.parametrize("name,i,j,digests", [
-    ("eq", 0, 3, ("db3caa33a005e1a4578fa04c7d8038347bbf64e6697ceeb58ffd94577cfc26fc",
-                  "fb0cee972a167f868495591b65ffe05a38b74702d728b5c690e65f04596f18fb")),
-    ("gt", 1, 3, ("ecd2ddd11b0822909924968679d2e96ca48e5b3a2f01eb73070cd5ded5db73c8",
-                  "f7ab6203cd50405b311a2b0e2b84c640589da69569502aa27ac5b649e8932d1e")),
+    ("eq", 0, 3, ("2a36260cf8a8d501cb1606e42ccff1c1fe9bb9cb6d51c39e23a1ab6ac9b32fa8",
+                  "5c9df43a9f523ad6e1e51145b7e5088f331a281664524d2abd3703fd2b3a2e4e")),
+    ("gt", 1, 3, ("6c111ce0654143779957482adf280afc61045cdb9a734f92f83f11c7e5de7451",
+                  "d7c87f8ebdce08137856e6b8543f5b203b2add05cb4209590f200b189611536f")),
 ], ids=["eq(0,3)", "gt(1,3)"])
 def test_counter_corpus_game_exports_are_pinned(name, i, j, digests):
     # Equal sizes do not make equal games: the digests pin every node's
@@ -690,12 +691,12 @@ def _two_argument_guess_game(text, label, limit=DEFAULT_GAME_LIMIT):
 
 
 @pytest.mark.parametrize("text,label,nodes,edges,digests", [
-    (*_TWO_ARGUMENT_GUESSES[0], 497, 652,
-     ("8a6210d3f92bee18d97b10354d9360a3ae56a54943b45dcbc75aeb1e7d334ee6",
-      "92a4cb1557c932c2d7c011fc5b76a50cf36b63e0b0008fd3ded7602b1487e04d")),
-    (*_TWO_ARGUMENT_GUESSES[1], 16_041, 22_730,
-     ("3ea49b33eaa68847edfa84577a86e9c67a6e480a7bacb554625bd4bbcd1abf19",
-      "64eb43ef07382607754250f1adb7ad1eb6b7ac4bdbd8e0b72c4e7744d3d12ec1")),
+    (*_TWO_ARGUMENT_GUESSES[0], 487, 642,
+     ("d6d5b9d3b70ce69024157aff8744fcd28bf1e72e57c0f4176626d201fcd1d036",
+      "5a4e669455188be1de2291cd763e33171f23e4fd2130f5512252c21d9d489392")),
+    (*_TWO_ARGUMENT_GUESSES[1], 16_039, 22_728,
+     ("f562109d12c74c5e970362c9e4e08dbda1c95fc4295fb68ddf772d04b40a2466",
+      "613eb4e603599d3bc261973bad9d591ad8c8a19d5ca53166be3f87c53adb1e00")),
 ], ids=_TWO_ARGUMENT_IDS)
 def test_two_argument_guess_games_are_pinned(text, label, nodes, edges,
                                              digests):
@@ -710,6 +711,29 @@ def test_two_argument_guess_games_are_pinned(text, label, nodes, edges,
     exported = export_game(game, "json", sol)
     assert (_structure_digest(game, sol),
             hashlib.sha256(exported.encode()).hexdigest()) == digests
+
+
+def test_game_numbers_each_node_once_per_polarity():
+    # A negation only swaps the players' roles, so the builder reads
+    # leading negations as a polarity: `!!x` is x, and a positive `!h` is
+    # h negated.  Each formula number is then a node that is not a `Neg`,
+    # or its negation, and no two numbers share a node and polarity.
+    lts, fp_frees = _small_counter_corpus()
+    fp_frees += [_counter_corpus_game(q)[1] for q in ("exists", "forall")]
+    games = itertools.chain(
+        (build_game(lts, s, f) for f in fp_frees for s in range(lts.n)),
+        (_two_argument_guess_game(*case) for case in _TWO_ARGUMENT_GUESSES))
+    built = 0
+    for game in games:
+        pairs = set()
+        for f in game.formulas:
+            neg = type(f) is Neg
+            base = f.body if neg else f
+            assert type(base) is not Neg, f
+            pairs.add((id(base), neg))
+        assert len(pairs) == len(game.formulas)
+        built += 1
+    assert built == 110
 
 
 @pytest.mark.parametrize("text,label", _TWO_ARGUMENT_GUESSES,

@@ -191,3 +191,34 @@ def test_no_process_wide_counter():
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
                   and any(map(_is_counter, ast.walk(node)))]
     assert found == []
+
+
+def _package_imports(stem):
+    """The package modules that src/hflcheck/<stem>.py imports, at any
+    depth of the file."""
+    tree = ast.parse((ROOT / "src" / "hflcheck" / f"{stem}.py")
+                     .read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("hflcheck.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "hflcheck":
+                continue
+            module = module.removeprefix("hflcheck").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import a, b
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_no_procedure_imports_another():
+    # The game procedure and the evaluator reach their verdicts
+    # independently: neither imports the other, nor the pipeline that
+    # runs elimination and the game together.
+    assert not _package_imports("games") & {"semantics", "pipeline"}
+    assert not _package_imports("semantics") & {"games", "pipeline"}
+    assert {"games", "semantics"} <= _package_imports("pipeline")

@@ -11,8 +11,8 @@ from hflcheck.encodings import (
     machine_formula,
     tape_built_formula,
 )
-from hflcheck.games import check_via_games
 from hflcheck.lts import gen_counter_lts, gen_word_lts
+from hflcheck.pipeline import check_via_games
 from hflcheck.semantics import EvalConfig, Evaluator, evaluate, holds
 from hflcheck.surface import parse_formula, print_formula
 from hflcheck.syntax import (

@@ -13,8 +13,8 @@ from hflcheck.errors import (
     UnboundVariableError,
     UnfoldBudgetError,
 )
-from hflcheck.games import check_via_games
 from hflcheck.lts import gen_chain, gen_counter_lts, gen_word_lts, make_lts
+from hflcheck.pipeline import check_via_games
 from hflcheck.semantics import (
     EvalConfig,
     Evaluator,

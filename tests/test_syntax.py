@@ -371,7 +371,7 @@ def test_desugar_three_bindings_matches_native():
 def test_nu_over_a_vector_fixpoint_decides_as_its_desugaring():
     # nu substitutes !X into the fix, so the vector node is rebuilt around
     # its new component body; all three procedures read it as written.
-    from hflcheck.games import check_via_games
+    from hflcheck.pipeline import check_via_games
     from hflcheck.surface import parse_formula
 
     phi = parse_formula("nu (X:Pr). fix 1 (Y:Pr. q & X | <a> Y)")
