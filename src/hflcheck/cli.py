@@ -60,7 +60,7 @@ def cmd_check(args) -> int:
         fp_free, game, solution = pipeline.play(
             model, args.state, phi, args.game_limit, args.enum_limit,
             args.unfold_limit, args.size_limit)
-        game_nodes, game_edges = game.node_count, game.edge_count
+        game_nodes, game_edges = solution.nodes, solution.edges
         game_nodes_explored = solution.explored
         if args.json:  # only the report prints the bound
             try:
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, default, what in (
             ("--enum-limit", denote.DEFAULT_ENUM_LIMIT,
              "lattice elements to enumerate"),
-            ("--game-limit", games.DEFAULT_GAME_LIMIT, "game nodes+edges"),
+            ("--game-limit", games.DEFAULT_GAME_LIMIT, "game nodes+edges "
+             "made by check's solve, or built by game --dump"),
             ("--unfold-limit", semantics.DEFAULT_UNFOLD_BUDGET,
              "unfoldings per fixpoint"),
             ("--size-limit", semantics.DEFAULT_SIZE_BUDGET,

@@ -12,10 +12,19 @@ opponent.  Terminals are classified by the literal winning conditions,
 including stuck modalities.  Every move strictly shrinks the formula, so
 the graph is a DAG.  `solve` is local: depth first from the start, each
 node reads its moves last first and stops at the first its owner wins, so
-it settles a small part of a big game and refuses only the cycles and
-malformed nodes among the moves it reads.  Every node's winner, by
-backward induction over every edge, and a winning strategy derived from
-them are computed when first read.
+it settles a small part of a big game.  It sees only the cycles and
+malformed nodes among the moves it reads, and refuses those.  Every
+node's winner, by backward induction over every edge, and a winning
+strategy derived from them are computed when first read.
+
+`build_game` returns the game unbuilt; the full build makes its lists on
+their first read.  A `solve` before that builds on demand: it makes a
+node's kind and moves when it first reads the node, with the full
+build's code.  The moves so made, and their order, are the built game's
+up to node numbers, and the solve's order comes from the moves alone; so
+it settles the same nodes to the same winner.  Over the p = 2 counter
+corpus it makes 18,878 nodes and 25,307 edges of the full builds'
+1,278,890 and 2,953,025.
 
 Every value the builder carries (a guess, a challenge argument, a bound
 variable) is an element of a finite lattice, so it is carried as its
@@ -34,13 +43,14 @@ outcome tuple among all guesses that agree there.
 Payloads are tuples of ints, and successors tuples of ints or, for a fan
 of guess or pick nodes, a `range`.  The cyclic garbage collector never
 tracks a range and stops tracking such a tuple (nested tuples one level
-per collection); still, the 9 full collections of a counter-games pass
-take some 5 % of its build and solve time.  The builder expands nodes depth
-first from one stack of configurations and fans, each fan a generator that
-expands its nodes from the last down.  A step ends only where it pushed
-work, a configuration or a fan, which is expanded before the next step;
-node numbers follow that order.  A pick fan whose leaves all reuse
-outcomes pushes nothing: it is made whole in its parent's step.
+per collection); still, full collections took some 5 % of the time of
+the p = 2 counter corpus's full builds and solves.  The full build
+expands nodes depth first from one stack of configurations and fans,
+each fan a generator that expands its nodes from the last down.  A step
+ends only where it pushed work, a configuration or a fan, which is
+expanded before the next step; node numbers follow that order.  A pick
+fan whose leaves all reuse outcomes pushes nothing: it is made whole in
+its parent's step.
 """
 
 from __future__ import annotations
@@ -74,7 +84,8 @@ class Game:
     stack, (values, t)), with the argument indices on the stack, the values
     of formula t's sorted free variables, and t a position in `formulas`.
     A guess node's payload is the shared ("guess",), a pick node's the
-    shared ("pick", k) for its k-th argument."""
+    shared ("pick", k) for its k-th argument.  An unbuilt game's lists
+    are all made at the first read of one, from `unbuilt`."""
 
     kinds: list
     payloads: list
@@ -82,6 +93,17 @@ class Game:
     start: int
     formulas: list  # formula number t -> the formula
     order_arity: tuple  # `types.fragment` of the formula played
+    unbuilt = None  # (builder inputs, start state) until the lists are built
+    LISTS = ("kinds", "payloads", "edges", "start", "formulas")
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: a list of an unbuilt game.
+        if self.unbuilt is None or name not in self.LISTS:
+            raise AttributeError(name)
+        args, state = self.unbuilt
+        vars(self).update(zip(self.LISTS, _Builder(*args).build(state)))
+        self.unbuilt = None
+        return vars(self)[name]
 
     @property
     def node_count(self):
@@ -94,13 +116,16 @@ class Game:
 
 @dataclass
 class Solution:
-    """A solved game: the winner from its start, and how many nodes the
-    local solve settled to find it.  The winner of every node and the
-    strategy are derived on their first read."""
+    """A solved game: the winner from its start, how many nodes the local
+    solve settled to find it, and how many nodes and edges it had made.
+    The winner of every node and the strategy are derived on their first
+    read, on the built game (which builds it, if it is not yet)."""
 
     winner: str  # EXISTS or FORALL
     game: Game
     explored: int  # nodes `solve` settled
+    nodes: int  # the built game's nodes and edges, or those made on demand
+    edges: int
 
     @cached_property
     def winners(self) -> list:
@@ -108,7 +133,8 @@ class Solution:
         it reads every edge, so it refuses every cycle and malformed node,
         also those the local solve did not reach."""
         game = self.game
-        return _settle(game, range(game.node_count - 1, -1, -1), False)
+        kinds, n = game.kinds, game.node_count
+        return _settle(kinds, game.edges, range(n - 1, -1, -1), [None] * n)
 
     @cached_property
     def strategy(self) -> dict:
@@ -146,20 +172,22 @@ _GUESS = ("guess",)
 
 
 class _Builder:
-    def __init__(self, lts, phi, limit, enum_limit):
+    def __init__(self, lts, phi, limit, enum_limit, types=None):
         self.lts = lts
         self.phi = phi
         self.limit = limit
         self.enum_limit = enum_limit
-        for f in syntax.iter_nodes(phi):
-            if isinstance(f, (Mu, MuVec)):
+        if types is None:  # phi is not checked yet
+            for f in syntax.iter_nodes(phi):
+                if isinstance(f, (Mu, MuVec)):
+                    raise ValueError(
+                        "game construction needs a fixpoint-free formula"
+                    )
+            types = {}
+            if not isinstance(typecheck(phi, types_out=types), PrType):
                 raise ValueError(
-                    "game construction needs a fixpoint-free formula"
-                )
-        self.types: dict = {}
-        top = typecheck(phi, types_out=self.types)
-        if not isinstance(top, PrType):
-            raise ValueError("game construction needs a formula of ground type")
+                    "game construction needs a formula of ground type")
+        self.types: dict = types
         self.numbers: dict = {}  # (id(f), negated) -> t, f not a Neg
         self.formulas: list = []  # t -> the formula
         self.moves: list = []  # t -> how its configurations move, once known
@@ -167,9 +195,9 @@ class _Builder:
         self.payloads: list = []
         self.edges: list = []
         self.index: dict = {}  # configuration key -> node
-        # Configuration nodes to expand, and fans (see `guesses` and
-        # `choices`): generators whose steps end only where they pushed.
-        self.pending: list = []
+        # A full build's configurations to expand, and fans (`guesses`,
+        # `choices`); None in a solve on demand, which opens what it reads.
+        self.pending = None
         self.used = 0
 
     def target(self, f: Formula, scope: tuple, negate=False) -> tuple:
@@ -281,20 +309,28 @@ class _Builder:
 
     def add(self, key) -> int:
         """A new configuration node under `key`, its payload too, queued
-        for expansion."""
+        for expansion in a full build."""
         got = self.index[key] = len(self.kinds)
         self.kinds.append(None)
         self.payloads.append(key)
         self.edges.append(None)
         self.used += 1
-        self.pending.append(got)
+        if self.pending is not None:
+            self.pending.append(got)
         return got
 
-    def build(self, start_state):
-        pending = self.pending
+    def begin(self, start_state) -> int:
+        """The start node, charged."""
+        start = self.config(start_state, (), (), self.target(self.phi, ()))
+        self.charge()
+        return start
+
+    def build(self, start_state) -> tuple:
+        """The whole game from `start_state`: its lists, in `Game.LISTS`
+        order."""
+        pending = self.pending = []
         try:
-            start = self.config(start_state, (), (), self.target(self.phi, ()))
-            self.charge()
+            start = self.begin(start_state)
             while pending:
                 item = pending[-1]
                 if type(item) is int:
@@ -306,8 +342,7 @@ class _Builder:
             # Suspended fans hold the builder: drop them, so that a refused
             # build is freed without a cyclic collection.
             pending.clear()
-        return Game(self.kinds, self.payloads, self.edges, start,
-                    self.formulas, fragment(self.types))
+        return self.kinds, self.payloads, self.edges, start, self.formulas
 
     def expand_config(self, idx):
         state, stack, (values, t) = self.payloads[idx]
@@ -324,8 +359,18 @@ class _Builder:
             kind, out = EXISTS, (config(state, stack[1:],
                                         values + (stack[0],), data),)
         elif tag == "app":  # the proponent guesses the argument
+            # The last key parts (see `config`) of the function, and of the
+            # argument and negated argument, which challenges read.
+            part, *parts = [(values if pos is None else
+                             tuple([values[p] for p in pos]), u)
+                            for u, pos in data[:3]]
+            app = (state, stack, part, parts, data)
             self.kinds[idx] = EXISTS
-            self.pending.append(self.guesses(idx, state, stack, values, data))
+            if self.pending is None:  # each guess waits for `open`
+                self.fan(idx, ("guess", len(self.kinds), app),
+                         [None] * data[3][0])
+            else:
+                self.pending.append(self.guesses(idx, app))
             return
         elif tag == "var":
             widths, win, lose = data
@@ -345,36 +390,36 @@ class _Builder:
         if self.used > self.limit:
             self.charge()
 
-    def guesses(self, idx, state, stack, values, data):
+    def guess(self, idx, key, payload) -> int:
+        """Give guess node idx its moves: to the function's configuration
+        under `key`, and to a new challenge root with `payload`, returned."""
+        function = self.index.get(key)
+        if function is None:
+            function = self.add(key)
+        root = len(self.kinds)
+        self.kinds.append(FORALL)
+        self.payloads.append(payload)
+        self.edges.append(None)
+        self.edges[idx] = (function, root)
+        self.used += 3
+        if self.used > self.limit:
+            self.charge()
+        return root
+
+    def guesses(self, idx, app):
         """Application node idx's fan of guesses, from the last down: the
         opponent pushes guess gi onto the function's stack, or challenges
         it at a pick root.  A step ends only where it pushed work."""
+        state, stack, part, parts, data = app
         _, _, _, sizes, _, picks = data
         first = self.fan(idx, _GUESS, [None] * sizes[0])
-        # The last key parts (see `config`) of the function, the argument
-        # and the negated argument, and the challenge outcomes that the
-        # guesses share (see `pick_fan`).
-        part, *parts = [(values if pos is None else
-                         tuple([values[p] for p in pos]), u)
-                        for u, pos in data[:3]]
-        outcomes: dict = {}
-        kinds, payloads, edges, index, pending = (
-            self.kinds, self.payloads, self.edges, self.index, self.pending)
+        outcomes: dict = {}  # challenge outcomes guesses share (`pick_fan`)
+        edges, pending = self.edges, self.pending
         depth = len(pending)
         ground = len(sizes) == 1
         for gi in range(sizes[0] - 1, -1, -1):
-            key = (state, (gi,) + stack, part)
-            function = index.get(key)
-            if function is None:
-                function = self.add(key)
-            root = len(kinds)
-            kinds.append(FORALL)
-            payloads.append(picks[0])
-            edges.append(None)
-            edges[first + gi] = (function, root)
-            self.used += 3
-            if self.used > self.limit:
-                self.charge()
+            root = self.guess(first + gi, (state, (gi,) + stack, part),
+                              picks[0])
             if ground:  # a ground argument: the root picks the state at once
                 edges[root] = out = self.challenge(parts, (), gi)
                 self.used += len(out)
@@ -455,19 +500,57 @@ class _Builder:
             out.append(self.add(key) if got is None else got)
         return tuple(out)
 
+    def open(self, v) -> tuple:
+        """Node v's kind and moves, made in a solve on demand when it first
+        reads v, as the full build makes them but for node numbers.  A fan's
+        payload holds what its moves need: ("guess", first, app) for guess
+        first + gi, ("pick", first, gi, hs, app) for choice first + h of
+        guess gi challenged at arguments hs (first None at the root)."""
+        payload = self.payloads[v]
+        if type(payload[0]) is int:  # a configuration
+            self.expand_config(v)
+        elif payload[0] == "guess":
+            _, first, app = payload
+            state, stack, part, _, _ = app
+            gi = v - first
+            self.guess(v, (state, (gi,) + stack, part),
+                       ("pick", None, gi, (), app))
+        else:
+            _, first, gi, hs, app = payload
+            if first is not None:
+                hs += (v - first,)
+            parts, (_, _, _, sizes, widths, _) = app[3:]
+            if len(hs) + 1 < len(sizes):  # the next argument's choices
+                self.fan(v, ("pick", len(self.kinds), gi, hs, app),
+                         [None] * sizes[len(hs) + 1])
+            else:  # a leaf: the guess's entry at hs is challenged
+                for a, w in zip(hs, widths):
+                    gi = denote.entry_index(gi, a, w)
+                self.edges[v] = out = self.challenge(parts, hs, gi)
+                self.used += len(out)
+                if self.used > self.limit:
+                    self.charge()
+        return self.kinds[v], self.edges[v]
+
 
 def build_game(lts: Lts, start_state: int, phi: Formula,
                limit: int = DEFAULT_GAME_LIMIT,
                enum_limit: int = denote.DEFAULT_ENUM_LIMIT) -> Game:
-    """The model-checking game for a closed, fixpoint-free ground formula.
+    """The model-checking game for a closed, fixpoint-free ground formula,
+    checked now and returned unbuilt (see `Game`).
 
     Configurations are hash-consed so shared subformulas share subgames.
-    Construction counts nodes plus edges as it goes and stops with the
-    closed-form estimate attached once the count passes `limit`.
+    The build, and a solve on demand, count nodes plus edges as they go
+    and stop with the closed-form estimate attached once the count passes
+    `limit`.
     """
     if not 0 <= start_state < lts.n:
         raise ValueError(f"state {start_state} out of range")
-    return _Builder(lts, phi, limit, enum_limit).build(start_state)
+    types = _Builder(lts, phi, limit, enum_limit).types
+    game = Game.__new__(Game)
+    game.order_arity = fragment(types)
+    game.unbuilt = (lts, phi, limit, enum_limit, types), start_state
+    return game
 
 
 def solve(game: Game) -> Solution:
@@ -478,24 +561,35 @@ def solve(game: Game) -> Solution:
     alone.  On the counter corpus at p = 2 it settles under 1 % of the
     nodes of the biggest games, against about a fifth in builder order.
 
-    Only the cycles and malformed nodes among the moves read are refused;
-    the builder's games have none, as every move shrinks the formula.
-    `Solution.winners` runs the full pass, which reads every edge."""
-    winners = _settle(game, (game.start,), True)
-    return Solution(winners[game.start], game,
-                    len(winners) - winners.count(None))
+    A game not yet built is made on demand, node by node as the solve
+    reads it, under the game's limit (see the module docstring).  A local
+    solve sees only the cycles and malformed nodes among the moves it
+    reads, and refuses those; the builder's games have none, as every move
+    shrinks the formula.  `Solution.winners` runs the full pass on the
+    built game, which reads every edge."""
+    if game.unbuilt is None:
+        winners = _settle(game.kinds, game.edges, (game.start,), {})
+        return Solution(winners[game.start], game, len(winners),
+                        game.node_count, game.edge_count)
+    args, state = game.unbuilt
+    play = _Builder(*args)
+    start = play.begin(state)
+    winners = _settle(play.kinds, play.edges, (start,), {}, play.open)
+    made = len(play.kinds)
+    return Solution(winners[start], game, len(winners), made, play.used - made)
 
 
-def _settle(game: Game, roots, local: bool) -> list:
-    """Each node's winner, None for the nodes never reached: depth first
-    from each root in turn, on an explicit stack of open nodes.  A node
-    reads its moves last first, settling a terminal at once and opening
-    any other node it has not settled; reaching an open node again is a
-    cycle.  An open node settles once its moves are read, or, if `local`,
-    once its owner wins one; it wins if its owner wins a move.  Read in
-    full this is backward induction, linear in nodes plus edges."""
-    kinds, edges = game.kinds, game.edges
-    winners: list = [None] * len(kinds)  # False while open
+def _settle(kinds, edges, roots, winners, expand=None):
+    """Each node's winner in `winners`, an empty dict for a local solve or
+    one None per node: depth first from each root in turn, on an explicit
+    stack of open nodes.  A node reads its moves last first, settling a
+    terminal at once and opening any other node it has not settled;
+    reaching an open node again is a cycle.  An open node settles once its
+    moves are read, or, if local, once its owner wins one; it wins if its
+    owner wins a move.  Read in full this is backward induction, linear in
+    nodes plus edges.  Moves still None come from `expand`."""
+    local = type(winners) is dict
+    read = winners.get if local else winners.__getitem__  # False while open
     # Each open node, deepest last, as [node, owner, its unread moves,
     # whether its owner wins one read so far]; the bottom entry reads the
     # roots and belongs to no one.
@@ -505,9 +599,11 @@ def _settle(game: Game, roots, local: bool) -> list:
         u, owner, unread, wins = frame
         if not (wins and local):
             for v in unread:
-                won = winners[v]
+                won = read(v)
                 if won is None:
                     k, succs = kinds[v], edges[v]
+                    if succs is None:
+                        k, succs = expand(v)
                     if k == WIN_E or k == WIN_A:
                         if succs:
                             raise InternalError(

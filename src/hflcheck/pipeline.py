@@ -10,11 +10,11 @@ from .syntax import Formula
 def play(lts: Lts, state: int, phi: Formula, game_limit: int,
          enum_limit: int, unfold_budget: int, size_budget: int) -> tuple:
     """Typecheck `phi` as written, check the query, eliminate fixpoints
-    (which rewrites vector fixpoints by Bekic's lemma), build the game
+    (which rewrites vector fixpoints by Bekic's lemma), check the game
     from `state` and solve it, each once.  Returns the fixpoint-free
-    formula, the game and its solution.  The solve is local, reading
-    moves last first; the solution derives every node's winner and the
-    strategy on their first read, as an export or a witness needs."""
+    formula, the game and its solution.  The solve is local, making only
+    the nodes it reads; the game is built, and the solution derives every
+    winner and the strategy, on their first read, as exports need."""
     semantics.check_query(lts, state, types.typecheck(phi))
     fp_free = semantics.eliminate_fixpoints(phi, lts, unfold_budget,
                                             size_budget)

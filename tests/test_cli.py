@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hflcheck import denote, encodings, games, semantics
+from hflcheck import denote, encodings, games, pipeline, semantics
 from hflcheck.cli import main
-from hflcheck.encodings import format_atm
+from hflcheck.encodings import chi_formula, counter_formula, format_atm
 from hflcheck.errors import HflError
 from hflcheck.lts import (
     Lts,
@@ -23,6 +23,7 @@ from hflcheck.lts import (
     save,
 )
 from hflcheck.surface import parse_formula, print_formula
+from hflcheck.syntax import apply_all
 from hflcheck.types import typecheck
 
 import machines
@@ -549,8 +550,10 @@ def test_check_and_game_agree(files, tmp_path, capsys):
             doc = json.loads(capsys.readouterr().out)
             assert report["verdict"] == (code == 0)
             assert report["verdict"] == (doc["winner"] == "exists")
-            assert len(doc["nodes"]) == report["stats"]["game_nodes"]
-            assert len(doc["edges"]) == report["stats"]["game_edges"]
+            stats = report["stats"]
+            assert (stats["game_nodes_explored"] <= stats["game_nodes"]
+                    <= len(doc["nodes"]))
+            assert stats["game_edges"] <= len(doc["edges"])
     # A query neither can answer gets the same error line from both.
     lam = tmp_path / "lam.hfl"
     lam.write_text("\\(X:Pr)^+. X\n")
@@ -564,6 +567,35 @@ def test_check_and_game_agree(files, tmp_path, capsys):
                         ["game"]):
             assert main(command + query) == 2
             assert capsys.readouterr().err == line
+
+
+def test_check_counts_what_its_solve_makes(tmp_path, capsys):
+    # `check` solves the game on demand and reports the nodes and edges it
+    # made; `game --dump` builds the whole game, as `build_game` does once
+    # its lists are read.
+    model = gen_counter_lts(2)
+    phi = apply_all(counter_formula("gt", 0, 2), chi_formula(1, 0, 2),
+                    chi_formula(3, 0, 2))
+    lts_path, phi_path = tmp_path / "counter.lts", tmp_path / "gt.hfl"
+    lts_path.write_text(save(model))
+    phi_path.write_text(print_formula(phi) + "\n")
+    query = ["--lts", str(lts_path), "--formula", str(phi_path),
+             "--state", "0"]
+    assert main(["check", "--engine", "elim-game", "--json",
+                 "--no-timing"] + query) == 1
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert main(["game", "--dump", "json"] + query) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fp_free = pipeline.play(
+        model, 0, parse_formula(phi_path.read_text()),
+        games.DEFAULT_GAME_LIMIT, denote.DEFAULT_ENUM_LIMIT,
+        semantics.DEFAULT_UNFOLD_BUDGET, semantics.DEFAULT_SIZE_BUDGET)[0]
+    game = games.build_game(model, 0, fp_free)
+    assert (game.node_count, game.edge_count) == (len(doc["nodes"]),
+                                                  len(doc["edges"]))
+    assert stats["game_nodes_explored"] <= stats["game_nodes"] < len(
+        doc["nodes"])
+    assert stats["game_edges"] < len(doc["edges"])
 
 
 @pytest.mark.parametrize("state", ["5", "-1"])

@@ -1,5 +1,6 @@
 """Game construction, solving, exports, and the checking pipeline."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -119,7 +120,7 @@ def test_game_limit_carries_estimate():
               Lam("X", Z, PR, Dia("a", Var("X"))))
     for limit in (0, 1, 3, 7, 100, 623, 624, 626, 14_420):
         with pytest.raises(GameLimitError) as err:
-            build_game(lts, 0, phi, limit=limit)
+            build_game(lts, 0, phi, limit=limit).node_count
         assert err.value.actual == limit + 1
         assert err.value.estimate >= err.value.limit == limit
     game = build_game(lts, 0, phi, limit=14_421)
@@ -132,7 +133,7 @@ def test_game_limit_carries_estimate():
                      App(Var("K"), Lam("Y", Z, PR, Dia("a", Var("Y"))))),
                  Lam("F", Z, pr_pr, App(Var("F"), Prop("q"))))
     with pytest.raises(GameLimitError) as err:
-        build_game(loop, 0, order3, limit=5)
+        build_game(loop, 0, order3, limit=5).node_count
     assert (err.value.actual, err.value.limit, err.value.estimate) == (6, 5, None)
     assert str(err.value).startswith(
         "game grew past 5 (at 6); closed-form estimate over budget (bound "
@@ -146,7 +147,7 @@ def test_guess_domain_past_enum_limit_is_refused():
     phi = App(Lam("F", Z, Arrow(PR, Z, PR), App(Var("F"), Prop("q"))),
               Lam("X", Z, PR, Dia("a", Var("X"))))
     with pytest.raises(EnumLimitError) as err:
-        build_game(lts, 0, phi, enum_limit=255)
+        build_game(lts, 0, phi, enum_limit=255).node_count
     assert (err.value.cardinality, err.value.limit) == (256, 255)
     assert solve(build_game(lts, 0, phi, enum_limit=256)).winner == FORALL
     assert solve(build_game(lts, 1, phi, enum_limit=256)).winner == EXISTS
@@ -224,6 +225,8 @@ def test_strategy_replay_fuzz():
             game = build_game(lts, 0, flat, 10**5)
         except BudgetError:
             continue
+        _assert_on_demand_solve_agrees(
+            functools.partial(build_game, lts, 0, flat, 10**5))
         sol = solve(game)
         own = EXISTS if sol.winner == EXISTS else FORALL
         for _ in range(10):
@@ -306,7 +309,7 @@ def test_local_solve_explored_counts_are_pinned(args, explored, nodes):
 
 
 def test_solve_allocates_only_its_winners():
-    # `solve` keeps one winner per node (an 8-byte list slot) and derives
+    # `solve` keeps one winner per settled node (a dict entry) and derives
     # no strategy; a node -> move table would cost some 50 bytes a node.
     lts, fp_free = _counter_corpus_game("gt", 1, 3)
     game = build_game(lts, 0, fp_free)
@@ -600,7 +603,7 @@ def test_game_limit_is_exact_on_small_corpus_games():
             again = build_game(lts, state, fp_free, limit=size)
             assert _structure_digest(again, solve(again)) == digest
             with pytest.raises(GameLimitError) as err:
-                build_game(lts, state, fp_free, limit=size - 1)
+                build_game(lts, state, fp_free, limit=size - 1).node_count
             assert (err.value.limit, err.value.actual) == (size - 1, size)
             built += 1
     assert built == 104
@@ -749,8 +752,83 @@ def test_game_limit_is_exact_on_two_argument_guess_games(text, label):
     again = _two_argument_guess_game(text, label, limit=size)
     assert _structure_digest(again, solve(again)) == digest
     with pytest.raises(GameLimitError) as err:
-        _two_argument_guess_game(text, label, limit=size - 1)
+        _two_argument_guess_game(text, label, limit=size - 1).node_count
     assert (err.value.limit, err.value.actual) == (size - 1, size)
+
+
+def _assert_on_demand_solve_agrees(make):
+    """Solve a game that `make` returns unbuilt, and one that it returns
+    and is then built: both settle the same nodes to the same winner, and
+    the first makes no more nodes and edges than the full game has."""
+    lazy, built = make(), make()
+    nodes, edges = built.node_count, built.edge_count
+    got, want = solve(lazy), solve(built)
+    assert lazy.unbuilt is not None
+    assert (got.winner, got.explored) == (want.winner, want.explored)
+    assert got.explored <= got.nodes <= nodes and got.edges <= edges
+    assert (want.nodes, want.edges) == (nodes, edges)
+
+
+def test_on_demand_solve_agrees_with_built_solve_on_counter_corpus():
+    # The 108 checks of the p = 2 counter corpus: the on-demand game is the
+    # built one up to node names, with moves in the same order.
+    lts, fp_frees = _small_counter_corpus()
+    fp_frees += [_counter_corpus_game(q)[1] for q in ("exists", "forall")]
+    checks = 0
+    for fp_free in fp_frees:
+        for state in range(lts.n):
+            _assert_on_demand_solve_agrees(
+                functools.partial(build_game, lts, state, fp_free))
+            checks += 1
+    assert checks == 108
+
+
+def test_on_demand_solve_agrees_with_built_solve_on_random_games():
+    for lts, flat, _ in _random_instances(7, 200):
+        _assert_on_demand_solve_agrees(
+            functools.partial(build_game, lts, 0, flat, 10**5))
+    for case in _TWO_ARGUMENT_GUESSES:
+        _assert_on_demand_solve_agrees(
+            functools.partial(_two_argument_guess_game, *case))
+
+
+def test_on_demand_game_limit_is_exact():
+    # A solve on demand charges each node and edge it makes as it makes
+    # them: a limit of exactly what it makes decides alike, and one less
+    # refuses, as a full build does at the full game's size.
+    lts, fp_frees = _small_counter_corpus()
+    makers = [functools.partial(build_game, lts, state, fp_free)
+              for fp_free in fp_frees for state in range(lts.n)]
+    makers += [functools.partial(_two_argument_guess_game, *case)
+               for case in _TWO_ARGUMENT_GUESSES]
+    for make in makers:
+        sol = solve(make(DEFAULT_GAME_LIMIT))
+        made = sol.nodes + sol.edges
+        again = solve(make(made))
+        assert (again.winner, again.explored, again.nodes, again.edges) == (
+            sol.winner, sol.explored, sol.nodes, sol.edges)
+        with pytest.raises(GameLimitError) as err:
+            solve(make(made - 1))
+        assert (err.value.limit, err.value.actual) == (made - 1, made)
+        with pytest.raises(GameLimitError) as full:  # the build's refusal
+            make(made - 1).node_count
+        assert str(err.value) == str(full.value)
+    assert len(makers) == 106
+
+
+def test_check_via_games_never_builds_the_game(monkeypatch):
+    # `check_via_games` decides from the nodes its solve makes: the full
+    # build of forall(eq max), 505,813 nodes, never runs.
+    def refused(builder, start_state):
+        raise AssertionError("the full build ran")
+
+    monkeypatch.setattr(_Builder, "build", refused)
+    lts = gen_counter_lts(2)
+    pred = Lam("W", Z, PR, apply_all(counter_formula("eq", 0, 2), Var("W"),
+                                     counter_formula("max", 0, 2)))
+    phi = App(counter_formula("forall", 0, 2), pred)
+    assert [check_via_games(lts, s, phi) for s in range(lts.n)] == [
+        False, False]
 
 
 def test_refused_build_frees_its_builder():

@@ -4,6 +4,7 @@ import itertools
 
 from hflcheck.denote import full
 from hflcheck.encodings import (
+    atm_accepts,
     bit_formula,
     buffer_formula,
     chi_formula,
@@ -11,7 +12,7 @@ from hflcheck.encodings import (
     machine_formula,
     tape_built_formula,
 )
-from hflcheck.lts import gen_counter_lts, gen_word_lts
+from hflcheck.lts import gen_counter_lts, gen_counter_lts_labeled, gen_word_lts
 from hflcheck.pipeline import check_via_games
 from hflcheck.semantics import EvalConfig, Evaluator, evaluate, holds
 from hflcheck.surface import parse_formula, print_formula
@@ -62,6 +63,22 @@ def test_games_agree_with_eval_on_counter_corpus():
             assert check_via_games(lts, state, phi) == bool(
                 direct.mask >> state & 1
             ), print_formula(phi)
+
+
+def test_label_carried_machines_through_games():
+    # The paper's lower-bound formulas through the game procedure: each
+    # corpus machine over the p = 1 counter system whose labels carry the
+    # word (t).  The words () and (f) would double the test's time; they
+    # wait for the forced guesses of ROADMAP item 13.
+    word = (True,)
+    lts = gen_counter_lts_labeled(1, word)
+    for name, machine in sorted(machines.CORPUS.items()):
+        phi = machine_formula(machine, 0, 1, None)
+        want = atm_accepts(machine, word, 2)
+        for engine in ("demand", "tabulate"):
+            assert holds(lts, 0, phi, EvalConfig(engine=engine)) == want, (
+                name, engine)
+        assert check_via_games(lts, 0, phi) == want, name
 
 
 def test_games_agree_with_eval_on_buffer_words():
