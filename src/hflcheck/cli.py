@@ -230,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budgets(p):
         for flag, default, what in (
-            ("--enum-limit", denote.DEFAULT_ENUM_LIMIT,
-             "lattice elements to enumerate"),
+            ("--enum-limit", denote.DEFAULT_ENUM_LIMIT, "lattice elements "
+             "to enumerate; check --engine elim-game enumerates only the "
+             "challenges' picks, game --dump the guesses too"),
             ("--game-limit", games.DEFAULT_GAME_LIMIT, "game nodes+edges "
              "made by check's solve, or built by game --dump"),
             ("--unfold-limit", semantics.DEFAULT_UNFOLD_BUDGET,

@@ -422,18 +422,27 @@ def test_atm_compile_labeled_variant(files, capsys, tmp_path):
 
 def test_elim_game_enum_limit_refusal_is_exit_2(tmp_path, capsys):
     # The guessed argument has type Pr -> Pr: 4**4 = 256 tables over two
-    # states, so the check is refused below that limit and decided at it.
+    # states.  `game` enumerates them, so it is refused below that limit
+    # and dumps the game at it.  `check` forces its guess and sizes only
+    # the 4 picks, so it is refused below 4 and decides from there, with
+    # the demand engine's verdict.
     cycle = tmp_path / "cycle.lts"
     cycle.write_text("states 2\nlabel 0 q\ntrans 0 a 1\ntrans 1 a 0\n")
     phi = tmp_path / "apply.hfl"
     phi.write_text("(\\(F:Pr -> Pr). F q) (\\(Y:Pr). <a> Y)\n")
-    args = ["check", "--lts", str(cycle), "--formula", str(phi),
-            "--state", "1", "--engine", "elim-game", "--enum-limit"]
-    assert main(args + ["255"]) == 2
+    query = ["--lts", str(cycle), "--formula", str(phi), "--state", "1"]
+    game = ["game", *query, "-o", str(tmp_path / "game.dot"), "--enum-limit"]
+    assert main(game + ["255"]) == 2
     err = capsys.readouterr().err
     assert "error[EnumLimitError]: lattice has 256 elements, over limit 255" in err
-    assert main(args + ["256"]) == 0
-    assert main(args[:-2] + ["demand"]) == 0
+    assert main(game + ["256"]) == 0
+    args = ["check", *query, "--engine", "elim-game", "--enum-limit"]
+    assert main(args + ["3"]) == 2
+    err = capsys.readouterr().err
+    assert "error[EnumLimitError]: lattice has 4 elements, over limit 3" in err
+    assert main(["check", *query, "--engine", "demand"]) == 0
+    for limit in ("4", "255", "256"):
+        assert main(args + [limit]) == 0
 
 
 def test_game_limit_past_an_astronomical_bound_is_exit_2(tmp_path, capsys):
@@ -487,20 +496,26 @@ def test_typecheck_report_shows_a_lattice_bound_over_budget(tmp_path, capsys):
 def test_enumeration_refusal_prints_a_lattice_past_str(tmp_path, capsys):
     # |Pr^0 -> Pr| over 11 states is 2^(11 * 2^11), 6,782 decimal digits:
     # more than `str` writes, so the refusal shows it as a power of two.
+    # The tabulating engine and `game` enumerate that lattice; `check
+    # --engine elim-game` forces its guess, sizing only the 2^n picks: it
+    # settles 45,071 nodes over 11 states (213,009 over 13, too slow here).
     phi = tmp_path / "apply.hfl"
     phi.write_text("(\\(F:Pr^0 -> Pr)^0. F q) (\\(X:Pr)^0. X)\n")
-    for n, b in ((11, 11 << 11), (13, 13 << 13)):
+    for n, b, engines in ((11, 11 << 11, ("demand", "elim-game")),
+                          (13, 13 << 13, ("demand",))):
         model = tmp_path / f"states{n}.lts"
         model.write_text(f"states {n}\n")
-        query = ["check", "--lts", str(model), "--formula", str(phi),
-                 "--state", "0", "--engine"]
-        for engine in ("naive", "elim-game"):
-            assert main(query + [engine]) == 2
+        query = ["--lts", str(model), "--formula", str(phi), "--state", "0"]
+        for refused in (["check", *query, "--engine", "naive"],
+                        ["game", *query, "-o", str(tmp_path / "game.dot")]):
+            assert main(refused) == 2
             assert capsys.readouterr() == ("", (
                 f"error[EnumLimitError]: lattice has 2^{b} elements, "
                 "over limit 1000000\n"))
-        assert main(query + ["demand"]) == 1
-        assert capsys.readouterr().out == "state 0 is not in the denotation\n"
+        for engine in engines:
+            assert main(["check", *query, "--engine", engine]) == 1
+            assert capsys.readouterr().out == (
+                "state 0 is not in the denotation\n")
 
 
 def test_game_bounds_past_str_are_shown_against_a_power_of_two(tmp_path, capsys):

@@ -207,27 +207,29 @@ def test_solved_game_assigns_every_node():
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
             game = build_game(lts, 0, flat, 10**5)
+            winners = solve(game).winners  # the full build
         except BudgetError:
             continue
-        sol = solve(game)
-        assert all(w in (EXISTS, FORALL) for w in sol.winners)
+        assert all(w in (EXISTS, FORALL) for w in winners)
         oracles.topological_order(game)  # acyclic
 
 
 def test_strategy_replay_fuzz():
     rng = random.Random(7)
     games_done = 0
+    made = (0, 0, 0)
     while games_done < 60:
         lts = randgen.random_lts(rng, 2)
         phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=3))
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
             game = build_game(lts, 0, flat, 10**5)
+            sol = solve(game)
+            game.node_count  # the full build, which the replays read
         except BudgetError:
             continue
-        _assert_on_demand_solve_agrees(
-            functools.partial(build_game, lts, 0, flat, 10**5))
-        sol = solve(game)
+        made = _sum(made, _assert_on_demand_solve_agrees(
+            functools.partial(build_game, lts, 0, flat, 10**5)))
         own = EXISTS if sol.winner == EXISTS else FORALL
         for _ in range(10):
             node = game.start
@@ -239,6 +241,10 @@ def test_strategy_replay_fuzz():
             won_by = EXISTS if game.kinds[node] == WIN_E else FORALL
             assert won_by == sol.winner
         games_done += 1
+    # Nodes settled, and nodes and edges made, by the solves on demand,
+    # which force each guess; reading every guess last first, they settled
+    # 2,113 and made 4,337 and 5,657.
+    assert made == (229, 269, 178)
 
 
 def _random_instances(seed, count):
@@ -252,6 +258,7 @@ def _random_instances(seed, count):
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
             game = build_game(lts, 0, flat, 10**5)
+            game.node_count  # the full build, which every caller reads
         except BudgetError:
             continue
         yield lts, flat, game
@@ -290,21 +297,23 @@ def test_local_solve_matches_reference_solve_on_random_games():
         assert 1 <= sol.explored <= game.node_count
 
 
-@pytest.mark.parametrize("args,explored,nodes", [
-    (("gt", 1, 3), 88, 858),
-    (("eq", 0, 3), 51, 253),
-    (("exists",), 867, 107_989),
-    (("forall",), 2_425, 505_813),
+@pytest.mark.parametrize("args,explored,built,nodes", [
+    (("gt", 1, 3), 44, 88, 858),
+    (("eq", 0, 3), 22, 51, 253),
+    (("exists",), 200, 867, 107_989),
+    (("forall",), 206, 2_425, 505_813),
 ], ids=["gt(1,3)", "eq(0,3)", "exists(eq max)", "forall(eq max)"])
-def test_local_solve_explored_counts_are_pinned(args, explored, nodes):
-    # Reading moves last first settles these many nodes from each start;
-    # in builder order a local solve settles 511 of gt(1,3)'s, 167 of
-    # eq(0,3)'s, 17,295 of exists(eq max)'s and 121,591 (state 0) of
-    # forall(eq max)'s.
+def test_local_solve_explored_counts_are_pinned(args, explored, built, nodes):
+    # A solve on demand, which forces each guess, settles `explored` nodes
+    # from each start.  On the built game, reading moves last first settles
+    # `built`; in builder order a local solve settles 511 of gt(1,3)'s,
+    # 167 of eq(0,3)'s, 17,295 of exists(eq max)'s and 121,591 (state 0)
+    # of forall(eq max)'s.
     lts, fp_free = _counter_corpus_game(*args)
     for state in range(lts.n):
         game = build_game(lts, state, fp_free)
-        assert (solve(game).explored, game.node_count) == (explored, nodes)
+        assert solve(game).explored == explored
+        assert (game.node_count, solve(game).explored) == (nodes, built)
         del game
 
 
@@ -411,10 +420,11 @@ def test_verdicts_do_not_depend_on_shared_closed_subformulas():
                                   unfold_budget=64)
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
             game = build_game(lts, state, oracles.share_closed(flat), 10**5)
+            shared = solve(game).winner == EXISTS
         except BudgetError:
             continue
         assert got == bool(want.mask >> state & 1)
-        assert (solve(game).winner == EXISTS) == got
+        assert shared == got
         games += 1
     assert gained > 150 and games > 250
 
@@ -511,10 +521,10 @@ def test_eliminated_game_matches_direct_evaluation():
         phi = randgen.random_hfl_formula(rng, randgen.HoGenConfig(max_depth=3))
         try:
             flat = eliminate_fixpoints(desugar_vec(phi), lts, 64)
-            game = build_game(lts, 0, flat, 10**5)
+            won = solve(build_game(lts, 0, flat, 10**5)).winner == EXISTS
         except BudgetError:
             continue
-        assert (solve(game).winner == EXISTS) == holds(lts, 0, flat)
+        assert won == holds(lts, 0, flat)
         done += 1
 
 
@@ -758,38 +768,116 @@ def test_game_limit_is_exact_on_two_argument_guess_games(text, label):
 
 def _assert_on_demand_solve_agrees(make):
     """Solve a game that `make` returns unbuilt, and one that it returns
-    and is then built: both settle the same nodes to the same winner, and
-    the first makes no more nodes and edges than the full game has."""
+    and is then built: both find the same winner, and the first makes no
+    more nodes and edges than the full game has.  Returns the first's
+    nodes settled, and nodes and edges made."""
     lazy, built = make(), make()
     nodes, edges = built.node_count, built.edge_count
     got, want = solve(lazy), solve(built)
     assert lazy.unbuilt is not None
-    assert (got.winner, got.explored) == (want.winner, want.explored)
+    assert got.winner == want.winner
     assert got.explored <= got.nodes <= nodes and got.edges <= edges
     assert (want.nodes, want.edges) == (nodes, edges)
+    return got.explored, got.nodes, got.edges
+
+
+def _sum(totals, counts):
+    return tuple([a + b for a, b in zip(totals, counts)])
 
 
 def test_on_demand_solve_agrees_with_built_solve_on_counter_corpus():
-    # The 108 checks of the p = 2 counter corpus: the on-demand game is the
-    # built one up to node names, with moves in the same order.
+    # The 108 checks of the p = 2 counter corpus.  Forcing each guess, the
+    # solves settle 4,457 nodes and make 5,056 nodes and 4,933 edges in
+    # all; reading every guess last first, they settled 12,533 and made
+    # 18,878 and 25,307, of the full games' 1,278,890 and 2,953,025.
     lts, fp_frees = _small_counter_corpus()
     fp_frees += [_counter_corpus_game(q)[1] for q in ("exists", "forall")]
+    made = (0, 0, 0)
     checks = 0
     for fp_free in fp_frees:
         for state in range(lts.n):
-            _assert_on_demand_solve_agrees(
-                functools.partial(build_game, lts, state, fp_free))
+            made = _sum(made, _assert_on_demand_solve_agrees(
+                functools.partial(build_game, lts, state, fp_free)))
             checks += 1
-    assert checks == 108
+    assert (checks, made) == (108, (4_457, 5_056, 4_933))
 
 
 def test_on_demand_solve_agrees_with_built_solve_on_random_games():
+    # Forcing each guess, the 200 random games' solves settle 1,071 nodes
+    # and make 1,218 nodes and 825 edges in all, where reading every guess
+    # last first settled 21,754 and made 45,441 and 61,367.
+    made = (0, 0, 0)
     for lts, flat, _ in _random_instances(7, 200):
-        _assert_on_demand_solve_agrees(
-            functools.partial(build_game, lts, 0, flat, 10**5))
-    for case in _TWO_ARGUMENT_GUESSES:
-        _assert_on_demand_solve_agrees(
-            functools.partial(_two_argument_guess_game, *case))
+        made = _sum(made, _assert_on_demand_solve_agrees(
+            functools.partial(build_game, lts, 0, flat, 10**5)))
+    assert made == (1_071, 1_218, 825)
+    made = [_assert_on_demand_solve_agrees(
+        functools.partial(_two_argument_guess_game, *case))
+        for case in _TWO_ARGUMENT_GUESSES]
+    assert made == [(24, 24, 21), (47, 51, 44)]
+
+
+def _challenge_leaves(game, root):
+    """The configurations a challenge root leads to, in pick order: picked
+    arguments in lexicographic order, the state last."""
+    for v in game.edges[root]:
+        if game.payloads[v][0] == "pick":
+            yield from _challenge_leaves(game, v)
+        else:
+            yield v
+
+
+def _assert_guesses_are_forced(game) -> int:
+    """The forced-guess claim of the `games` docstring, on the built game:
+    at each application node, g*, read off the winners of the argument's
+    configurations, is the only guess whose challenge root the proponent
+    wins, and the application's winner is that of the function's
+    configuration at g*.  Returns the number of applications."""
+    winners, edges, payloads = solve(game).winners, game.edges, game.payloads
+    apps = 0
+    for u, guesses in enumerate(edges):
+        if not guesses or payloads[guesses[0]] != ("guess",):
+            continue
+        # Guess 0's challenges lead to the negated argument everywhere,
+        # and the last guess's, every bit set, to the argument: in pick
+        # order, one leaf per bit of the guess.
+        negated = list(_challenge_leaves(game, edges[guesses[0]][1]))
+        args = list(_challenge_leaves(game, edges[guesses[-1]][1]))
+        assert len(guesses) == 1 << len(args) == 1 << len(negated)
+        assert all(winners[a] != winners[b] for a, b in zip(args, negated))
+        star = sum([1 << b for b, v in enumerate(args) if winners[v] == EXISTS])
+        for g, v in enumerate(guesses):
+            root = edges[v][1]
+            assert winners[root] == (EXISTS if g == star else FORALL), (u, g)
+        assert winners[u] == winners[edges[guesses[star]][0]]
+        apps += 1
+    return apps
+
+
+def test_only_the_arguments_value_survives_its_challenges():
+    # On the built games of the p = 1 counter corpus, 200 random games and
+    # the two-argument guess games.
+    lts, fp_frees = _small_counter_corpus(p=1)
+    fp_frees += [_counter_corpus_game(q, p=1)[1] for q in ("exists", "forall")]
+    games = itertools.chain(
+        (build_game(lts, s, f) for f in fp_frees for s in range(lts.n)),
+        (game for _, _, game in _random_instances(7, 200)),
+        (_two_argument_guess_game(*case) for case in _TWO_ARGUMENT_GUESSES))
+    assert sum(map(_assert_guesses_are_forced, games)) == 1_447
+
+
+def test_forced_guess_reaches_past_the_guess_domain():
+    # On a 5-state cycle the guessed Pr -> Pr table has 2^(5 * 32) values,
+    # so the full build refuses to enumerate them; the solve on demand
+    # forces its guess, sizing only the 32 picks, and decides.
+    lts = make_lts(5, [(s, "a", (s + 1) % 5) for s in range(5)], [(0, "q")])
+    phi = parse_formula("(\\(F:Pr -> Pr). F q) (\\(Y:Pr). <a> Y)")
+    with pytest.raises(EnumLimitError) as err:
+        build_game(lts, 0, phi).node_count
+    assert err.value.cardinality == 2**160
+    for state in range(lts.n):
+        assert check_via_games(lts, state, phi) == holds(lts, state, phi) == (
+            state == 4)
 
 
 def test_on_demand_game_limit_is_exact():
